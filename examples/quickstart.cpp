@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
   const auto verdict = pll::VerifySampled(g, index, 200, /*seed=*/1);
   std::printf("verification: %s\n", verdict.ToString().c_str());
 
-  // 5. Persist and reload.
+  // 5. Persist (format v2, the index container) and reload.
   const std::string path = "/tmp/parapll_quickstart.index";
-  index.SaveFile(path);
+  pll::WriteIndexV2File(index, path);
   const pll::Index loaded = pll::Index::LoadFile(path);
   std::printf("round-tripped index through %s: %s\n", path.c_str(),
               loaded == index ? "identical" : "MISMATCH");

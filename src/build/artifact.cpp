@@ -8,6 +8,10 @@ namespace parapll::build {
 
 void IndexArtifact::Save(const std::string& path,
                          std::uint32_t format_version) const {
+  if (format_version != pll::kIndexFormatV2) {
+    throw std::runtime_error("unknown index format version " +
+                             std::to_string(format_version));
+  }
   // The manifest travels inside the container; an artifact with a wholly
   // default manifest would round-trip as "unknown provenance", which
   // defeats the point — catch it at write time.
@@ -17,14 +21,7 @@ void IndexArtifact::Save(const std::string& path,
   }
   index.Manifest().Validate();
   const std::string tmp = path + ".tmp";
-  if (format_version == pll::kIndexFormatV2) {
-    pll::WriteIndexV2File(index, tmp);
-  } else if (format_version == pll::kIndexFormatV1) {
-    index.SaveFile(tmp);
-  } else {
-    throw std::runtime_error("unknown index format version " +
-                             std::to_string(format_version));
-  }
+  pll::WriteIndexV2File(index, tmp);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw std::runtime_error("cannot rename " + tmp + " to " + path);

@@ -8,9 +8,10 @@
 // kind of file.
 //
 // Writes are atomic (tmp + rename in the target directory), so a crash or
-// signal mid-write leaves the previous artifact intact. Loads validate
-// with the same rigor as the label-store deserializer and can additionally
-// be pinned to a graph: fingerprint and vertex/edge counts must match.
+// signal mid-write leaves the previous artifact intact. The container is
+// always format v2 (pll/format_v2.hpp); loads take the heap loader's full
+// validation and can additionally be pinned to a graph: fingerprint and
+// vertex/edge counts must match.
 #pragma once
 
 #include <cstdint>
@@ -33,13 +34,12 @@ struct IndexArtifact {
     return !index.Manifest().IsComplete();
   }
 
-  // Atomic write: serializes to `path + ".tmp"`, then renames over
-  // `path`. `format_version` picks the container: 1 is the streamed
-  // layout (Index::Save), 2 the mmap-able format (pll/format_v2.hpp);
-  // both load through the same Load() below. Throws std::runtime_error
-  // on I/O failure or an unknown version.
+  // Atomic write: serializes format v2 to `path + ".tmp"`, then renames
+  // over `path`. `format_version` must be pll::kIndexFormatV2, the only
+  // container; it is kept so callers name the format they expect. Throws
+  // std::runtime_error on I/O failure or any other version.
   void Save(const std::string& path,
-            std::uint32_t format_version = pll::kIndexFormatV1) const;
+            std::uint32_t format_version = pll::kIndexFormatV2) const;
 
   // Loads and validates. Throws std::runtime_error on corrupt bytes, a
   // version mismatch, or (unlike raw Index::LoadFile) a missing manifest:

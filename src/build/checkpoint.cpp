@@ -1,5 +1,6 @@
 #include "build/checkpoint.hpp"
 
+#include <algorithm>
 #include <ctime>
 #include <filesystem>
 #include <stdexcept>
@@ -68,7 +69,11 @@ void Checkpointer::OnRootFinished(graph::VertexId frontier,
                                   const pll::PruneStats& stats,
                                   double wall_seconds) {
   util::MutexLock lock(mutex_);
-  frontier_ = frontier;
+  // Workers compute their frontier under the in-flight lock but report it
+  // after releasing it, so reports can arrive out of order; every report
+  // is a valid lower bound, and a stale one must not move the frontier
+  // back.
+  frontier_ = std::max(frontier_, frontier);
   totals_ += stats;
   wall_seconds_ = wall_seconds;
   ++finished_since_snapshot_;

@@ -30,8 +30,8 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "parapll/parallel_indexer.hpp"
-#include "pll/compact_io.hpp"
 #include "pll/dynamic_index.hpp"
+#include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/knn_engine.hpp"
 #include "pll/path_index.hpp"

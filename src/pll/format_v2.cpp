@@ -1,5 +1,7 @@
 #include "pll/format_v2.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -100,19 +102,6 @@ void WritePad(std::ostream& out, std::uint64_t from, std::uint64_t to) {
 
 }  // namespace
 
-bool PeekV2Magic(std::istream& in) {
-  const std::istream::pos_type pos = in.tellg();
-  if (pos == std::istream::pos_type(-1)) {
-    return false;  // unseekable stream: cannot be the mmap container
-  }
-  std::uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  const bool matched = in.good() && magic == kIndexV2Magic;
-  in.clear();
-  in.seekg(pos);
-  return matched;
-}
-
 void WriteIndexV2(const Index& index, std::ostream& out) {
   const LabelStore& store = index.Store();
   const graph::VertexId n = store.NumVertices();
@@ -156,10 +145,28 @@ void WriteIndexV2(const Index& index, std::ostream& out) {
   WritePad(out, h.offsets_pos + (n + 1) * sizeof(std::uint64_t),
            h.entries_pos);
   if (n > 0) {
-    // Rows are contiguous in one flat array, sentinels interleaved; the
-    // whole query region is a single write.
-    out.write(reinterpret_cast<const char*>(store.RowBegin(0)),
-              static_cast<std::streamsize>(offset * sizeof(LabelEntry)));
+    // Rows are contiguous in one flat array, sentinels interleaved. The
+    // region goes out in chunks whose padding is zeroed after the copy,
+    // not as the raw array: a LabelEntry's 4 padding bytes are
+    // indeterminate in memory, and the file must neither depend on them
+    // nor leak them.
+    const LabelEntry* entries = store.RowBegin(0);
+    constexpr std::size_t kChunk = std::size_t{1} << 16;  // 1 MiB
+    constexpr std::size_t kPadPos =
+        offsetof(LabelEntry, hub) + sizeof(graph::VertexId);
+    constexpr std::size_t kPadLen = offsetof(LabelEntry, dist) - kPadPos;
+    std::vector<char> buffer(kChunk * sizeof(LabelEntry));
+    for (std::uint64_t at = 0; at < offset; at += kChunk) {
+      const auto len = static_cast<std::size_t>(
+          std::min<std::uint64_t>(kChunk, offset - at));
+      std::memcpy(buffer.data(), entries + at, len * sizeof(LabelEntry));
+      for (std::size_t i = 0; i < len; ++i) {
+        std::memset(buffer.data() + i * sizeof(LabelEntry) + kPadPos, 0,
+                    kPadLen);
+      }
+      out.write(buffer.data(),
+                static_cast<std::streamsize>(len * sizeof(LabelEntry)));
+    }
   }
   if (!out) {
     Fail("write failed");

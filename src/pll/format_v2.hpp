@@ -1,15 +1,14 @@
-// Index format v2 — the mmap-able on-disk layout (ROADMAP item 2).
+// Index format v2 — the one on-disk index container.
 //
-// v1 (Index::Save) streams the label store *without* sentinels and with
-// logical offsets, so loading always means a per-entry deserialize. v2
-// instead persists the query-stage layout verbatim: a 16-byte-aligned
+// v2 persists the query-stage layout verbatim: a 16-byte-aligned
 // flattened region of sentinel-terminated rows plus an offset table in
 // physical (sentinel-inclusive) entry units. `mmap` + pointer arithmetic
 // over that region is a valid QuerySentinel input with zero per-entry
-// work — see mmap_store.hpp / paged_store.hpp.
+// work (mmap_store.hpp); the heap loader reads the same bytes into a
+// LabelStore. Builds, checkpoints and every CLI command write it.
 //
-// On-disk layout (all integers little-endian host PODs, same convention
-// as the v1 writer; positions are absolute byte offsets from file start):
+// On-disk layout (all integers little-endian host PODs; positions are
+// absolute byte offsets from file start):
 //
 //   header (80 bytes):
 //     u64 magic          "PLLIdxV2"
@@ -25,17 +24,19 @@
 //     u64 file_bytes     declared total file size
 //   regions, in file order: manifest | order | offsets | pad | entries
 //
-// The embedded manifest carries format_version == 2 (BuildManifest
-// records which container it was read from); loaders accept 1 and 2.
+// The writer stamps the embedded manifest with format_version == 2;
+// loaders accept any manifest version in [1, 2] (see pll/manifest.hpp).
 //
-// Validation contract: ReadIndexV2 (the heap loader) applies the full
-// v1-deserializer rigor — strictly sorted hubs, sentinel at every row
-// end, order permutation, bounded incremental reads. ValidateV2Mapping
-// (the zero-copy loaders) validates everything that memory safety and
-// merge termination depend on in O(n): geometry, alignment, region
-// bounds against the *actual* file size, one sentinel per row end, and
-// the order permutation — but deliberately not per-entry hub sortedness,
-// which would defeat the zero-deserialization point.
+// Validation contract: ReadIndexV2 (the heap loader) applies full
+// per-entry rigor — strictly sorted hubs, no sentinel hub inside a row,
+// a sentinel at every row end, order permutation, exact file size, and
+// no region-sized allocation before the size is checked against the
+// bytes present. ValidateV2Mapping (the zero-copy loader) validates
+// everything that memory safety and merge termination depend on in
+// O(n): geometry, alignment, region bounds against the *actual* file
+// size, one sentinel per row end, and the order permutation — but
+// deliberately not per-entry hub order, which would defeat the
+// zero-deserialization point.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,6 @@ namespace parapll::pll {
 
 inline constexpr std::uint64_t kIndexV2Magic =
     0x3256'7864'494c'4c50ULL;  // "PLLIdxV2" read as a little-endian u64
-inline constexpr std::uint32_t kIndexFormatV1 = 1;
 inline constexpr std::uint32_t kIndexFormatV2 = 2;
 inline constexpr std::uint32_t kIndexV2HeaderBytes = 80;
 
@@ -70,10 +70,6 @@ struct V2Header {
 };
 static_assert(sizeof(V2Header) == kIndexV2HeaderBytes);
 
-// True when `in` starts with the v2 magic; consumes nothing. Requires a
-// seekable stream (mirrors BuildManifest::PeekMagic).
-bool PeekV2Magic(std::istream& in);
-
 // Serializes `index` in format v2. The index's manifest is embedded with
 // format_version forced to 2. Throws std::runtime_error on I/O failure
 // or when any label row uses the reserved sentinel hub.
@@ -83,13 +79,13 @@ void WriteIndexV2(const Index& index, std::ostream& out);
 void WriteIndexV2File(const Index& index, const std::string& path);
 
 // Heap loader: reads a v2 stream into an ordinary Index (LabelStore on
-// the heap), with full untrusted-input validation. v1 callers that can
-// see v2 files route here via Index::Load's magic dispatch.
+// the heap), with full untrusted-input validation. Requires a seekable
+// stream; Index::LoadFile routes here.
 Index ReadIndexV2(std::istream& in);
 
-// Validated zero-copy view over a complete v2 file image, shared by the
-// mmap and paged backends. `data` must stay alive (and mapped) for as
-// long as the view's pointers are used. Throws std::runtime_error on any
+// Validated zero-copy view over a complete v2 file image (the mmap
+// backend). `data` must stay alive (and mapped) for as long as the
+// view's pointers are used. Throws std::runtime_error on any
 // geometry / alignment / bounds / sentinel / permutation violation.
 struct V2View {
   V2Header header;

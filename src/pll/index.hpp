@@ -4,8 +4,6 @@
 // callers query with their original vertex ids.
 #pragma once
 
-#include <istream>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -44,16 +42,13 @@ class Index {
 
   // Build provenance (see pll/manifest.hpp). Indexes built through the
   // unified pipeline carry a populated manifest; a default-constructed
-  // one means "unknown provenance" (hand-assembled or legacy file).
+  // one means "unknown provenance" (a hand-assembled index).
   [[nodiscard]] const BuildManifest& Manifest() const { return manifest_; }
   void SetManifest(BuildManifest manifest) { manifest_ = std::move(manifest); }
 
-  // Binary round-trip: Save |> Load == *this. Save writes the manifest in
-  // front of the store; Load accepts both that layout and the legacy
-  // manifest-less one (default manifest attached).
-  void Save(std::ostream& out) const;
-  static Index Load(std::istream& in);
-  void SaveFile(const std::string& path) const;
+  // Reads a format-v2 file onto the heap with full validation (see
+  // pll/format_v2.hpp, which also holds the writer) and records the
+  // cold-start cost. Throws std::runtime_error on I/O or corrupt bytes.
   static Index LoadFile(const std::string& path);
 
   friend bool operator==(const Index&, const Index&) = default;

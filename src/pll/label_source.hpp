@@ -5,21 +5,13 @@
 // fixed; what varies is *where the bytes live*:
 //
 //   * LabelStore       — everything on the heap (build side + default);
-//   * MmapLabelStore   — zero-copy over a format-v2 file (mmap_store.hpp);
-//   * PagedLabelStore  — bounded LRU of hot rows over a file-backed cold
-//                        region (paged_store.hpp).
+//   * MmapLabelStore   — zero-copy over a format-v2 file (mmap_store.hpp).
 //
 // Pointer-lifetime contract: pointers returned by RowBegin()/Row() stay
-// valid for the lifetime of the source for the heap and mmap backends.
-// The paged backend additionally guarantees that the pointers from the
-// kRowPinDepth most recent RowBegin()/Row() calls *on the calling thread*
-// stay valid even across evictions — enough for the query engine's
-// current-pair + prefetched-next-pair working set. Callers must not hold
-// a paged row pointer across more than kRowPinDepth further row lookups.
+// valid for the lifetime of the source.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <string>
 
@@ -29,19 +21,14 @@ namespace parapll::pll {
 
 struct LabelEntry;
 
-// How many recently returned row pointers every backend keeps alive per
-// thread (see the pointer-lifetime contract above).
-inline constexpr std::size_t kRowPinDepth = 8;
-
 // Which concrete LabelSource answers queries.
 enum class StoreBackend {
   kHeap,   // LabelStore: rows deserialized onto the heap
   kMmap,   // MmapLabelStore: zero-copy over a mapped format-v2 file
-  kPaged,  // PagedLabelStore: LRU row cache over a format-v2 file
 };
 
 [[nodiscard]] const char* ToString(StoreBackend backend);
-// Throws std::runtime_error on an unknown name ("heap"|"mmap"|"paged").
+// Throws std::runtime_error on an unknown name ("heap"|"mmap").
 [[nodiscard]] StoreBackend StoreBackendFromString(const std::string& name);
 
 class LabelSource {
@@ -64,29 +51,10 @@ class LabelSource {
 
   // Resident *heap* bytes this source owns. The mmap backend reports only
   // its bookkeeping (mapped pages are file-backed and show up in RSS only
-  // when touched); the paged backend reports its cache budget usage.
+  // when touched).
   [[nodiscard]] virtual std::size_t MemoryBytes() const = 0;
 
   [[nodiscard]] virtual StoreBackend Backend() const = 0;
-
-  // Hint that the rows of `ranks` are about to be merged (the query
-  // engine calls this once per shard). Only meaningful when
-  // WantsReadahead() — the paged backend batches its cold-row loads here
-  // instead of taking one cache miss per merge.
-  virtual void Readahead(std::span<const graph::VertexId> ranks) const {
-    (void)ranks;
-  }
-  [[nodiscard]] virtual bool WantsReadahead() const { return false; }
-
-  // Row-cache effectiveness (paged backend; valid == false elsewhere).
-  struct CacheStats {
-    bool valid = false;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t resident_bytes = 0;  // bytes currently cached
-  };
-  [[nodiscard]] virtual CacheStats Cache() const { return {}; }
 };
 
 }  // namespace parapll::pll

@@ -16,8 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <span>
 #include <vector>
 
@@ -224,12 +222,6 @@ class LabelStore final : public LabelSource {
     return offsets_.capacity() * sizeof(std::size_t) +
            entries_.capacity() * sizeof(LabelEntry);
   }
-
-  // The serialized format carries no sentinels; Deserialize validates the
-  // stream (magic, monotonic offsets, sorted hub rows) and throws
-  // std::runtime_error on any corruption.
-  void Serialize(std::ostream& out) const;
-  static LabelStore Deserialize(std::istream& in);
 
   // Hand-written (a defaulted comparison would require operator== on the
   // abstract base): equal iff the flattened layouts are identical.

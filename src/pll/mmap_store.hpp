@@ -27,7 +27,7 @@
 namespace parapll::pll {
 
 // RAII read-only file mapping (whole file). Move-only; unmaps on
-// destruction. Shared by the mmap and paged backends.
+// destruction.
 class MappedFile {
  public:
   // Throws std::runtime_error on open/stat/map failure, on an empty
@@ -43,10 +43,6 @@ class MappedFile {
 
   [[nodiscard]] const char* data() const { return data_; }
   [[nodiscard]] std::size_t size() const { return size_; }
-
-  // Hint the kernel to start reading `len` bytes at `pos` (madvise
-  // WILLNEED); best-effort no-op on failure or without mmap.
-  void Willneed(std::size_t pos, std::size_t len) const;
 
  private:
   const char* data_ = nullptr;

@@ -1,28 +1,14 @@
 #include "pll/servable.hpp"
 
 #include <fstream>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/trace.hpp"
-#include "pll/format_v2.hpp"
 #include "pll/mmap_store.hpp"
-#include "pll/paged_store.hpp"
-#include "util/logging.hpp"
 
 namespace parapll::pll {
 
 namespace {
-
-// A zero-copy backend needs the v2 container; a v1 stream routes to the
-// heap loader instead (see the fallback rule in servable.hpp).
-bool IsV2File(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
-  }
-  return PeekV2Magic(in);
-}
 
 ServableIndex WrapHeap(Index index) {
   auto owner = std::make_shared<Index>(std::move(index));
@@ -45,13 +31,7 @@ ServableIndex ServableIndex::FromIndex(Index index) {
 }
 
 ServableIndex ServableIndex::Load(const std::string& path,
-                                  StoreBackend backend,
-                                  std::size_t cache_bytes) {
-  if (backend != StoreBackend::kHeap && !IsV2File(path)) {
-    LOG_WARN("index %s is not format v2; %s backend falling back to heap",
-             path.c_str(), ToString(backend));
-    backend = StoreBackend::kHeap;
-  }
+                                  StoreBackend backend) {
   if (backend == StoreBackend::kHeap) {
     // Index::LoadFile records the cold-start metrics itself.
     const std::uint64_t heap_start_ns = obs::TraceNowNs();
@@ -66,23 +46,12 @@ ServableIndex ServableIndex::Load(const std::string& path,
   }
 
   const std::uint64_t start_ns = obs::TraceNowNs();
+  std::shared_ptr<MmapLabelStore> store = MmapLabelStore::Open(path);
   ServableIndex servable;
-  if (backend == StoreBackend::kMmap) {
-    std::shared_ptr<MmapLabelStore> store = MmapLabelStore::Open(path);
-    servable.manifest = store->Manifest();
-    servable.order.assign(store->OrderSpan().begin(),
-                          store->OrderSpan().end());
-    servable.file_bytes = store->FileBytes();
-    servable.source = std::move(store);
-  } else {
-    std::shared_ptr<PagedLabelStore> store =
-        PagedLabelStore::Open(path, cache_bytes);
-    servable.manifest = store->Manifest();
-    servable.order.assign(store->OrderSpan().begin(),
-                          store->OrderSpan().end());
-    servable.file_bytes = store->FileBytes();
-    servable.source = std::move(store);
-  }
+  servable.manifest = store->Manifest();
+  servable.order.assign(store->OrderSpan().begin(), store->OrderSpan().end());
+  servable.file_bytes = store->FileBytes();
+  servable.source = std::move(store);
   servable.backend = backend;
   servable.format_version = servable.manifest.format_version;
   servable.load_seconds =

@@ -3,17 +3,14 @@
 // The serving stack (query engine, daemon, CLI) doesn't care where label
 // rows live; it needs a source to merge, the vertex order to translate
 // ids, and the manifest for identity/provenance checks. ServableIndex
-// bundles exactly that, with one Load() funnel that picks the backend:
+// bundles exactly that, with one Load() funnel that picks the backend
+// over the one format-v2 container:
 //
-//   kHeap  — Index::LoadFile (v1 or v2 stream, full deserialize);
-//   kMmap  — MmapLabelStore::Open (format v2 only, zero-copy);
-//   kPaged — PagedLabelStore::Open (format v2 only, bounded row cache).
+//   kHeap — Index::LoadFile (full per-entry validation, rows on the heap);
+//   kMmap — MmapLabelStore::Open (O(n) validation, zero-copy).
 //
-// When a zero-copy backend is requested but the file is a v1 stream, the
-// load falls back to the heap path with a warning instead of failing:
-// a hot-reload watcher pointed at a republished v1 artifact keeps
-// serving. Every load records the cold-start cost (index.load_seconds +
-// one log line, see pll::RecordIndexLoad).
+// Every load records the cold-start cost (index.load_seconds + one log
+// line, see pll::RecordIndexLoad).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +28,7 @@ struct ServableIndex {
   std::shared_ptr<const LabelSource> source;
   std::vector<graph::VertexId> order;  // rank -> original vertex id
   StoreBackend backend = StoreBackend::kHeap;  // what actually loaded
-  std::uint32_t format_version = BuildManifest::kFormatVersion;
+  std::uint32_t format_version = BuildManifest::kMaxFormatVersion;
   std::size_t file_bytes = 0;     // 0 when wrapped from memory
   double load_seconds = 0.0;      // 0 when wrapped from memory
 
@@ -39,12 +36,10 @@ struct ServableIndex {
   // index's heap store, kept alive by a shared owner.
   [[nodiscard]] static ServableIndex FromIndex(Index index);
 
-  // Loads `path` with the requested backend (see the file comment for
-  // the fallback rule). `cache_bytes` is only meaningful for kPaged.
-  // Throws std::runtime_error on I/O or validation failure.
+  // Loads `path` with the requested backend. Throws std::runtime_error
+  // on I/O or validation failure.
   [[nodiscard]] static ServableIndex Load(const std::string& path,
-                                          StoreBackend backend,
-                                          std::size_t cache_bytes = 0);
+                                          StoreBackend backend);
 
   [[nodiscard]] graph::VertexId NumVertices() const {
     return source == nullptr ? 0 : source->NumVertices();

@@ -60,59 +60,17 @@ void QueryEngine::RegisterProbes() {
   // serving store's footprint stays observable after the build's own
   // probe unregisters (TakeFinalized).
   const pll::LabelSource* source = source_.get();
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
+  memory_probe_ = std::make_unique<obs::ScopedProbe>(
       "store.memory_bytes",
-      [source] { return static_cast<double>(source->MemoryBytes()); }));
-  if (!source->Cache().valid) {
-    return;
-  }
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.hits",
-      [source] { return static_cast<double>(source->Cache().hits); }));
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.misses",
-      [source] { return static_cast<double>(source->Cache().misses); }));
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.evictions",
-      [source] { return static_cast<double>(source->Cache().evictions); }));
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.resident_bytes", [source] {
-        return static_cast<double>(source->Cache().resident_bytes);
-      }));
-  probes_.push_back(std::make_unique<obs::ScopedProbe>(
-      "store.cache.hit_rate", [source] {
-        const auto stats = source->Cache();
-        const double lookups =
-            static_cast<double>(stats.hits) + static_cast<double>(stats.misses);
-        return lookups == 0.0 ? 0.0
-                              : static_cast<double>(stats.hits) / lookups;
-      }));
-}
-
-void QueryEngine::AnnounceShard(std::span<const QueryPair> pairs) const {
-  if (!source_->WantsReadahead() || pairs.empty()) {
-    return;
-  }
-  std::vector<graph::VertexId> ranks;
-  ranks.reserve(pairs.size() * 2);
-  for (const auto& [s, t] : pairs) {
-    if (s != t) {
-      ranks.push_back(RankOf(s));
-      ranks.push_back(RankOf(t));
-    }
-  }
-  source_->Readahead(ranks);
+      [source] { return static_cast<double>(source->MemoryBytes()); });
 }
 
 void QueryEngine::RunShard(std::span<const QueryPair> pairs,
                            std::span<graph::Distance> out) const {
-  AnnounceShard(pairs);
   const pll::LabelSource& store = *source_;
   // Software pipeline: resolve + prefetch the *next* pair's label rows
   // while the current pair merges, hiding the first-cache-line miss of
-  // each row behind useful work. The two-pair working set (current +
-  // next) is why pll::kRowPinDepth >= 4 is part of the LabelSource
-  // pointer-lifetime contract.
+  // each row behind useful work.
   auto rows_of = [&](const QueryPair& pair) {
     const auto a = store.RowBegin(RankOf(pair.first));
     const auto b = store.RowBegin(RankOf(pair.second));
@@ -140,7 +98,6 @@ void QueryEngine::RunShardLogged(std::span<const QueryPair> pairs,
                                  std::size_t base,
                                  std::span<const BatchTraceSlice> traces)
     const {
-  AnnounceShard(pairs);
   const pll::LabelSource& store = *source_;
   SlowQueryLog& log = *options_.slow_log;
   // Slices are sorted and disjoint, and this shard walks the batch in

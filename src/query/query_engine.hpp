@@ -1,12 +1,11 @@
 // Batched, multi-threaded query serving (the paper's §1 use case: index
 // once, then answer "heavy traffic" distance queries in microseconds).
 //
-// A QueryEngine answers from a pll::LabelSource — heap rows, a zero-copy
-// mmap of a format-v2 file, or a paged row cache (see pll/label_source.hpp)
-// — and owns a persistent worker pool. QueryBatch shards a batch of
-// (s, t) pairs into contiguous chunks, announces each shard's rows to the
-// source (Readahead, so the paged backend batch-faults its cold rows),
-// answers each chunk with the sentinel-row merge (pll::QuerySentinel)
+// A QueryEngine answers from a pll::LabelSource — heap rows or a
+// zero-copy mmap of a format-v2 file (see pll/label_source.hpp) — and
+// owns a persistent worker pool. QueryBatch shards a batch of (s, t)
+// pairs into contiguous chunks, answers each chunk with the sentinel-row
+// merge (pll::QuerySentinel)
 // while prefetching the next pair's label rows, and blocks until the
 // whole batch is answered in place. Results are bit-identical to calling
 // Index::Query per pair — batching and backend change scheduling and
@@ -17,8 +16,8 @@
 // span, and the shared pool's Wait() returns no earlier than the caller's
 // own shards finishing. Metrics (when enabled) land in the global
 // registry under "query.batch.*", and the engine keeps the serving-side
-// "store.memory_bytes" / "store.cache.*" pull-gauges registered for its
-// lifetime — see EXPERIMENTS.md for the schema.
+// "store.memory_bytes" pull-gauge registered for its lifetime — see
+// EXPERIMENTS.md for the schema.
 #pragma once
 
 #include <cstddef>
@@ -108,10 +107,6 @@ class QueryEngine {
   [[nodiscard]] graph::VertexId RankOf(graph::VertexId v) const {
     return rank_of_[v];
   }
-  // Batches the shard's row ranks into one Readahead call when the
-  // source wants it (paged backend: one cold-row burst per shard).
-  void AnnounceShard(std::span<const QueryPair> pairs) const;
-
   // Answers one contiguous shard (already validated).
   void RunShard(std::span<const QueryPair> pairs,
                 std::span<graph::Distance> out) const;
@@ -126,9 +121,9 @@ class QueryEngine {
   std::vector<graph::VertexId> rank_of_;  // original id -> rank
   QueryEngineOptions options_;
   std::unique_ptr<util::ThreadPool> pool_;  // null when threads == 1
-  // Serving-side pull-gauges (store.memory_bytes, store.cache.*);
-  // registered while this engine lives, metrics-gated.
-  std::vector<std::unique_ptr<obs::ScopedProbe>> probes_;
+  // Serving-side pull-gauge (store.memory_bytes); registered while this
+  // engine lives, metrics-gated.
+  std::unique_ptr<obs::ScopedProbe> memory_probe_;
 };
 
 }  // namespace parapll::query

@@ -11,9 +11,11 @@
 //   * open loop (open_loop_qps > 0): requests follow an absolute paced
 //     schedule (request k fires at start + k/qps, round-robined across
 //     connections) for duration_seconds — measures latency at a fixed
-//     offered load, including coordinated-omission-free percentiles.
+//     offered load. Each request's latency runs from its scheduled send
+//     time, so queueing behind a slow daemon shows in the percentiles
+//     (no coordinated omission).
 // The report carries answered/shed/error counts and p50/p99/p999 of the
-// per-request round-trip latency.
+// per-request latency (round trip in the closed loop).
 #pragma once
 
 #include <cstdint>

@@ -11,6 +11,7 @@
 #ifdef PARAPLL_HAVE_SOCKETS
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -289,6 +290,11 @@ void QueryServer::AcceptReady(
       ::close(client);
       continue;
     }
+    // Responses are small frames written as soon as a batch answers;
+    // Nagle would hold one back until the client ACKs the previous.
+    const int nodelay = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                 sizeof(nodelay));
     auto conn = std::make_unique<Connection>();
     conn->fd = client;
     conn->id = ++next_connection_id_;
@@ -616,10 +622,9 @@ void QueryServer::TryReload() {
   last_stamp_ = stamp;
   try {
     // The configured backend decides how the republished artifact loads:
-    // heap deserializes, mmap/paged revalidate + map the v2 container
-    // (with heap fallback for v1 files, see pll/servable.hpp).
-    pll::ServableIndex servable = pll::ServableIndex::Load(
-        options_.watch_path, options_.backend, options_.cache_bytes);
+    // heap deserializes, mmap revalidates + maps the v2 container.
+    pll::ServableIndex servable =
+        pll::ServableIndex::Load(options_.watch_path, options_.backend);
     if (!servable.IsComplete()) {
       throw std::runtime_error("serve: watched artifact is a checkpoint, "
                                "not a complete index");

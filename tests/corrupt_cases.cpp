@@ -5,7 +5,6 @@
 #include "build/pipeline.hpp"
 #include "cluster/wire.hpp"
 #include "graph/generators.hpp"
-#include "pll/compact_io.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/serial_pll.hpp"
 #include "serve/frame.hpp"
@@ -25,27 +24,19 @@ pll::Index MakeManifestedIndex() {
   return build::Run(g, {}).artifact.index;
 }
 
-std::string StoreBytes(const pll::LabelStore& store) {
-  std::ostringstream out(std::ios::binary);
-  store.Serialize(out);
-  return out.str();
+pll::Index MakeZeroVertexIndex() {
+  return pll::Index(pll::LabelStore::FromRows({}), {});
 }
 
-std::string IndexBytes(const pll::Index& index) {
-  std::ostringstream out(std::ios::binary);
-  index.Save(out);
-  return out.str();
+pll::Index MakeZeroLabelIndex() {
+  return pll::Index(
+      pll::LabelStore::FromRows(std::vector<std::vector<pll::LabelEntry>>(3)),
+      {0, 1, 2});
 }
 
 std::string V2Bytes(const pll::Index& index) {
   std::ostringstream out(std::ios::binary);
   pll::WriteIndexV2(index, out);
-  return out.str();
-}
-
-std::string CompactIndexBytes(const pll::Index& index) {
-  std::ostringstream out(std::ios::binary);
-  pll::WriteCompactIndex(index, out);
   return out.str();
 }
 
@@ -107,56 +98,84 @@ std::string With(std::string bytes, std::size_t pos, T value) {
   return bytes;
 }
 
-}  // namespace
-
-std::vector<SeedCase> LabelStoreSeeds() {
-  const pll::Index index = MakeIndex();
-  const std::string store = StoreBytes(index.Store());
-  const std::string v1 = IndexBytes(index);
-  const auto total = Peek<std::uint64_t>(store, kTotalField);
-  const auto n = Peek<std::uint64_t>(store, kNField);
-  const std::size_t entries_base =
-      kOffsetTable + 8 * static_cast<std::size_t>(n + 1);
-  return {
-      {"valid-store", store},
-      {"valid-index-v1", v1},
-      {"empty", ""},
-      {"bad-magic", Flip(store, 0)},
-      {"truncated-header", store.substr(0, 12)},
-      {"truncated-mid-entry", store.substr(0, store.size() - 5)},
-      {"decreasing-offset",
-       With<std::uint64_t>(store, kOffsetTable + 16, 0)},
-      {"offset-past-total",
-       With<std::uint64_t>(store, kOffsetTable + 8, total + 1)},
-      {"total-not-covered",
-       With<std::uint64_t>(store, kTotalField, total + 1)},
-      {"sentinel-hub-entry",
-       With<graph::VertexId>(store, entries_base, graph::kInvalidVertex)},
-      {"huge-declared-n",
-       With<std::uint64_t>(store, kNField, std::uint64_t{1} << 56)},
-      {"index-v1-truncated-order", v1.substr(0, v1.size() - 2)},
-  };
+// Byte offsets inside a v2 image: offsets[v] (the sentinel-inclusive
+// start of row v, in entries) and the entry at physical index i.
+std::size_t V2OffsetPos(const std::string& v2, std::uint64_t v) {
+  return static_cast<std::size_t>(Peek<std::uint64_t>(v2, kV2OffsetsPos) +
+                                  v * sizeof(std::uint64_t));
 }
+
+std::size_t V2EntryPos(const std::string& v2, std::uint64_t i) {
+  return static_cast<std::size_t>(Peek<std::uint64_t>(v2, kV2EntriesPos) +
+                                  i * sizeof(pll::LabelEntry));
+}
+
+}  // namespace
 
 std::vector<SeedCase> IndexV2Seeds() {
   const pll::Index index = MakeManifestedIndex();
   const std::string v2 = V2Bytes(index);
+  const std::uint64_t n = index.NumVertices();
+  const std::uint64_t total = index.TotalEntries();
+  const auto order_pos =
+      static_cast<std::size_t>(Peek<std::uint64_t>(v2, kV2OrderPos));
+  // First entry of the first row holding at least two real entries.
+  std::uint64_t long_row = 0;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const auto lo = Peek<std::uint64_t>(v2, V2OffsetPos(v2, v));
+    if (Peek<std::uint64_t>(v2, V2OffsetPos(v2, v + 1)) - lo >= 3) {
+      long_row = lo;
+      break;
+    }
+  }
   std::vector<SeedCase> seeds = {
       {"valid", v2},
+      {"valid-no-manifest", V2Bytes(MakeIndex())},
+      {"valid-zero-vertex", V2Bytes(MakeZeroVertexIndex())},
+      {"valid-zero-labels", V2Bytes(MakeZeroLabelIndex())},
       {"empty", ""},
       {"bad-magic", Flip(v2, 0)},
       {"bad-version", With<std::uint32_t>(v2, kV2Version, 3)},
       {"truncated-header", v2.substr(0, 79)},
       {"truncated-half", v2.substr(0, v2.size() / 2)},
+      {"truncated-mid-entry", v2.substr(0, v2.size() - 5)},
       {"trailing-byte", v2 + '\0'},
       {"misaligned-entries",
        With<std::uint64_t>(v2, kV2EntriesPos,
                            Peek<std::uint64_t>(v2, kV2EntriesPos) + 8)},
       {"huge-declared-n",
        With<std::uint64_t>(v2, kV2NumVertices, std::uint64_t{1} << 56)},
+      {"huge-declared-entries",
+       With<std::uint64_t>(v2, kV2TotalEntries, std::uint64_t{1} << 50)},
       {"manifest-vertex-mismatch",
        With<std::uint64_t>(v2, pll::kIndexV2HeaderBytes + kManifestNumVertices,
-                           index.NumVertices() + 5)},
+                           n + 5)},
+      // offsets[2] = 0 while offsets[1] >= 1 (rank 0's row is non-empty).
+      {"non-monotonic-offsets",
+       With<std::uint64_t>(v2, V2OffsetPos(v2, 2), 0)},
+      {"offset-past-entries",
+       With<std::uint64_t>(v2, V2OffsetPos(v2, 1), total + n + 1)},
+      // The sentinel closing row 0 replaced by a plausible hub id.
+      {"missing-sentinel",
+       With<graph::VertexId>(
+           v2, V2EntryPos(v2, Peek<std::uint64_t>(v2, V2OffsetPos(v2, 1)) - 1),
+           0)},
+      // order[0] duplicated into order[1]'s value, or out of range.
+      {"non-permutation-order",
+       With<graph::VertexId>(
+           v2, order_pos,
+           Peek<graph::VertexId>(v2, order_pos + sizeof(graph::VertexId)))},
+      {"out-of-range-order",
+       With<graph::VertexId>(v2, order_pos,
+                             static_cast<graph::VertexId>(n + 7))},
+      // The documented split cases: mapping-accepts, heap-rejects.
+      {"unsorted-hubs",
+       With<graph::VertexId>(v2, V2EntryPos(v2, long_row + 1),
+                             Peek<graph::VertexId>(
+                                 v2, V2EntryPos(v2, long_row)))},
+      {"sentinel-hub-entry",
+       With<graph::VertexId>(v2, V2EntryPos(v2, long_row),
+                             graph::kInvalidVertex)},
   };
   {
     // Regions shifted past EOF while staying self-consistent.
@@ -170,57 +189,12 @@ std::vector<SeedCase> IndexV2Seeds() {
     seeds.push_back({"regions-past-eof", std::move(bytes)});
   }
   {
-    // The sentinel closing row 0 replaced by a plausible hub id.
-    std::string bytes = v2;
-    const auto entries_pos = Peek<std::uint64_t>(bytes, kV2EntriesPos);
-    const auto offsets_pos = Peek<std::uint64_t>(bytes, kV2OffsetsPos);
-    const auto row_end = Peek<std::uint64_t>(
-        bytes, static_cast<std::size_t>(offsets_pos) + sizeof(std::uint64_t));
-    Patch<graph::VertexId>(bytes,
-                           static_cast<std::size_t>(entries_pos) +
-                               static_cast<std::size_t>(row_end - 1) *
-                                   sizeof(pll::LabelEntry),
-                           0);
-    seeds.push_back({"missing-sentinel", std::move(bytes)});
-  }
-  {
-    std::string bytes = v2;
-    const auto offsets_pos =
-        static_cast<std::size_t>(Peek<std::uint64_t>(bytes, kV2OffsetsPos));
-    Patch<std::uint64_t>(bytes, offsets_pos + 2 * sizeof(std::uint64_t), 0);
-    seeds.push_back({"non-monotonic-offsets", std::move(bytes)});
-  }
-  {
-    std::string bytes = v2;
-    const auto order_pos =
-        static_cast<std::size_t>(Peek<std::uint64_t>(bytes, kV2OrderPos));
-    Patch<graph::VertexId>(
-        bytes, order_pos,
-        Peek<graph::VertexId>(bytes, order_pos + sizeof(graph::VertexId)));
-    seeds.push_back({"non-permutation-order", std::move(bytes)});
-  }
-  {
-    // The documented split case: mapping-accepts, heap-rejects.
-    std::string bytes = v2;
-    const auto entries_pos =
-        static_cast<std::size_t>(Peek<std::uint64_t>(bytes, kV2EntriesPos));
-    const auto offsets_pos =
-        static_cast<std::size_t>(Peek<std::uint64_t>(bytes, kV2OffsetsPos));
-    for (graph::VertexId v = 0; v < index.NumVertices(); ++v) {
-      const auto lo = Peek<std::uint64_t>(
-          bytes, offsets_pos + static_cast<std::size_t>(v) * 8);
-      const auto hi = Peek<std::uint64_t>(
-          bytes, offsets_pos + static_cast<std::size_t>(v + 1) * 8);
-      if (hi - lo < 3) {
-        continue;
-      }
-      const std::size_t first =
-          entries_pos + static_cast<std::size_t>(lo) * sizeof(pll::LabelEntry);
-      Patch<graph::VertexId>(bytes, first + sizeof(pll::LabelEntry),
-                             Peek<graph::VertexId>(bytes, first));
-      break;
-    }
-    seeds.push_back({"unsorted-hubs", std::move(bytes)});
+    // One more declared entry, present in the file, that the offset
+    // table does not reach.
+    std::string bytes = v2 + std::string(sizeof(pll::LabelEntry), '\0');
+    Patch<std::uint64_t>(bytes, kV2TotalEntries, total + 1);
+    Patch<std::uint64_t>(bytes, kV2FileBytes, bytes.size());
+    seeds.push_back({"total-not-covered", std::move(bytes)});
   }
   return seeds;
 }
@@ -245,45 +219,6 @@ std::vector<SeedCase> ManifestSeeds() {
       {"truncated-names", m.substr(0, kManifestModeLen + 2)},
       {"truncated-tail", m.substr(0, m.size() - 3)},
   };
-}
-
-std::vector<SeedCase> CompactSeeds() {
-  const pll::Index index = MakeIndex();
-  const std::string compact = CompactIndexBytes(index);
-  std::vector<SeedCase> seeds = {
-      {"valid", compact},
-      {"empty", ""},
-      {"bad-magic", Flip(compact, 0)},
-      {"truncated-half", compact.substr(0, compact.size() / 2)},
-      {"truncated-order", compact.substr(0, compact.size() - 2)},
-  };
-  {
-    // n < 128 keeps every order value a single varint byte at the tail;
-    // zeroing them all yields a duplicate-riddled non-permutation.
-    std::string bytes = compact;
-    for (std::size_t i = bytes.size() - index.NumVertices(); i < bytes.size();
-         ++i) {
-      bytes[i] = 0;
-    }
-    seeds.push_back({"non-permutation-order", std::move(bytes)});
-  }
-  {
-    // magic, n = 1, row count = 2^50, then nothing.
-    std::ostringstream out(std::ios::binary);
-    pll::WriteVarint(out, 0x504c4c7a69703176ULL);  // "PLLzip1v"
-    pll::WriteVarint(out, 1);
-    pll::WriteVarint(out, std::uint64_t{1} << 50);
-    seeds.push_back({"huge-declared-row-count", out.str()});
-  }
-  {
-    // magic, n = 2^50: the reader must fail on the missing row bytes,
-    // never allocate n rows up front.
-    std::ostringstream out(std::ios::binary);
-    pll::WriteVarint(out, 0x504c4c7a69703176ULL);
-    pll::WriteVarint(out, std::uint64_t{1} << 50);
-    seeds.push_back({"huge-declared-n", out.str()});
-  }
-  return seeds;
 }
 
 std::vector<SeedCase> ClusterWireSeeds() {
@@ -360,10 +295,8 @@ std::vector<SeedCase> GraphTextSeeds() {
 
 std::vector<SeedTarget> AllSeedTargets() {
   return {
-      {"label_store", LabelStoreSeeds()},
       {"index_v2", IndexV2Seeds()},
       {"manifest", ManifestSeeds()},
-      {"compact", CompactSeeds()},
       {"cluster_wire", ClusterWireSeeds()},
       {"serve_frame", ServeFrameSeeds()},
       {"graph_text", GraphTextSeeds()},

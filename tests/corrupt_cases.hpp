@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "pll/index.hpp"
-#include "pll/label_store.hpp"
 #include "pll/manifest.hpp"
 
 namespace parapll::corpus {
@@ -28,12 +27,14 @@ pll::Index MakeIndex();
 // real provenance — the base for manifest and v2-container corpora.
 pll::Index MakeManifestedIndex();
 
+// The degenerate shapes: no vertices at all, and three vertices whose
+// rows hold nothing but their sentinels.
+pll::Index MakeZeroVertexIndex();
+pll::Index MakeZeroLabelIndex();
+
 // --- serializers -------------------------------------------------------
 
-std::string StoreBytes(const pll::LabelStore& store);
-std::string IndexBytes(const pll::Index& index);  // v1 container
-std::string V2Bytes(const pll::Index& index);     // v2 container
-std::string CompactIndexBytes(const pll::Index& index);
+std::string V2Bytes(const pll::Index& index);  // the index container
 std::string ManifestBytes(const pll::BuildManifest& manifest);
 
 // Canonical wire / frame / text samples used by the corruption suites.
@@ -45,13 +46,6 @@ std::string OkResponsePayload();          // prefix stripped
 std::string SampleGraphText();            // valid "u v w" edge list
 
 // --- byte-layout constants ---------------------------------------------
-
-// Serialized LabelStore layout (all little-endian pods):
-//   [0, 8) magic "LablSto1" | [8, 16) n | [16, 24) total logical entries
-//   [24, 24 + 8*(n+1)) logical offsets | then u32 hub + u64 dist each
-inline constexpr std::size_t kNField = 8;
-inline constexpr std::size_t kTotalField = 16;
-inline constexpr std::size_t kOffsetTable = 24;
 
 // Serialized manifest layout (see pll/manifest.cpp):
 //   [0, 8) magic "PPManft1" | [8, 12) format_version | [12, 20)
@@ -67,8 +61,11 @@ inline constexpr std::size_t kManifestModeLen = 36;
 //   [24, 32) total_entries | [32, 40) manifest_pos | [40, 48)
 //   manifest_len | [48, 56) order_pos | [56, 64) offsets_pos | [64, 72)
 //   entries_pos | [72, 80) file_bytes
+// The embedded manifest starts right after the header, so manifest
+// field f of a v2 file sits at kIndexV2HeaderBytes + f.
 inline constexpr std::size_t kV2Version = 8;
 inline constexpr std::size_t kV2NumVertices = 16;
+inline constexpr std::size_t kV2TotalEntries = 24;
 inline constexpr std::size_t kV2OrderPos = 48;
 inline constexpr std::size_t kV2OffsetsPos = 56;
 inline constexpr std::size_t kV2EntriesPos = 64;
@@ -109,10 +106,8 @@ struct SeedCase {
 // harness in fuzz/fuzz_<target>.cpp. Each list mixes valid encodings
 // (so the fuzzer starts from deep coverage) with every corruption class
 // the gtests pin down.
-std::vector<SeedCase> LabelStoreSeeds();   // LabelStore + v1 Index::Load
 std::vector<SeedCase> IndexV2Seeds();      // ReadIndexV2 / ValidateV2Mapping
 std::vector<SeedCase> ManifestSeeds();     // BuildManifest::Deserialize
-std::vector<SeedCase> CompactSeeds();      // ReadCompactIndex
 std::vector<SeedCase> ClusterWireSeeds();  // cluster::DecodeUpdates
 std::vector<SeedCase> ServeFrameSeeds();   // serve::FrameReader + decoders
 std::vector<SeedCase> GraphTextSeeds();    // graph::ReadEdgeListText

@@ -1,20 +1,14 @@
-// Cross-container round-trip properties and degenerate-shape coverage.
-//
-// The containers (v1 Index::Save, v2 WriteIndexV2, compact varint) all
-// persist the same logical object, so conversion must be lossless:
-//   * v1 -> v2 -> v1 reproduces the original v1 bytes exactly, once the
-//     manifest's container stamp (format_version, which records where
-//     the manifest was read from) is restored;
-//   * v2 -> load -> v2 is byte-idempotent with no adjustment at all.
-//
-// The degenerate shapes — a zero-vertex index and an all-empty-rows
-// index — must survive every backend (heap v1, heap v2, compact, mmap,
-// paged), because they are exactly the shapes ad-hoc loader arithmetic
-// tends to get wrong (n == 0 offset tables, rows that are only a
-// sentinel).
+// Round-trip properties and degenerate-shape coverage of the format-v2
+// index container:
+//   * v2 -> load -> v2 is byte-idempotent;
+//   * the degenerate shapes — a zero-vertex index and an all-empty-rows
+//     index — survive both loaders (heap and mmap), because they are
+//     exactly the shapes ad-hoc loader arithmetic tends to get wrong
+//     (n == 0 offset tables, rows that are only a sentinel).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -24,44 +18,20 @@
 
 #include "corrupt_cases.hpp"
 #include "graph/types.hpp"
-#include "pll/compact_io.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/label_store.hpp"
 #include "pll/mmap_store.hpp"
-#include "pll/paged_store.hpp"
 
 namespace parapll {
 namespace {
 
-using corpus::IndexBytes;
 using corpus::MakeManifestedIndex;
 using corpus::V2Bytes;
-
-pll::Index LoadV1(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
-  return pll::Index::Load(in);
-}
 
 pll::Index LoadV2(const std::string& bytes) {
   std::istringstream in(bytes, std::ios::binary);
   return pll::ReadIndexV2(in);
-}
-
-TEST(FormatRoundTrip, V1ToV2ToV1IsByteStable) {
-  const pll::Index original = MakeManifestedIndex();
-  const std::string v1 = IndexBytes(original);
-
-  pll::Index through_v2 = LoadV2(V2Bytes(LoadV1(v1)));
-  // The only legitimate difference: the v2 container restamps the
-  // embedded manifest's format_version to 2. Restore it and the v1
-  // encodings must match byte for byte.
-  EXPECT_EQ(through_v2.Manifest().format_version, pll::kIndexFormatV2);
-  pll::BuildManifest manifest = through_v2.Manifest();
-  manifest.format_version = original.Manifest().format_version;
-  through_v2.SetManifest(manifest);
-
-  EXPECT_EQ(IndexBytes(through_v2), v1);
 }
 
 TEST(FormatRoundTrip, V2ToV2IsByteIdempotent) {
@@ -69,14 +39,28 @@ TEST(FormatRoundTrip, V2ToV2IsByteIdempotent) {
   EXPECT_EQ(V2Bytes(LoadV2(v2)), v2);
 }
 
-TEST(FormatRoundTrip, CompactPreservesTheIndex) {
-  const pll::Index original = MakeManifestedIndex();
-  std::ostringstream out(std::ios::binary);
-  pll::WriteCompactIndex(original, out);
-  std::istringstream in(out.str(), std::ios::binary);
-  const pll::Index again = pll::ReadCompactIndex(in);
-  EXPECT_EQ(again.Store(), original.Store());
-  EXPECT_EQ(again.Order(), original.Order());
+// The 4 padding bytes of a LabelEntry are indeterminate in memory; the
+// writer must put zeros on disk, so equal indexes give equal files.
+TEST(FormatRoundTrip, EntryPaddingIsWrittenAsZero) {
+  pll::LabelEntry dirty;
+  std::memset(static_cast<void*>(&dirty), 0xab, sizeof(dirty));
+  std::vector<std::vector<pll::LabelEntry>> rows(2);
+  for (graph::VertexId v = 0; v < 2; ++v) {
+    dirty.hub = 0;
+    dirty.dist = v;
+    rows[v].push_back(dirty);
+  }
+  const pll::Index index(pll::LabelStore::FromRows(std::move(rows)), {0, 1});
+  const std::string v2 = V2Bytes(index);
+  const auto entries_pos =
+      static_cast<std::size_t>(corpus::Peek<std::uint64_t>(
+          v2, corpus::kV2EntriesPos));
+  for (std::size_t at = entries_pos; at < v2.size();
+       at += sizeof(pll::LabelEntry)) {
+    EXPECT_EQ(corpus::Peek<std::uint32_t>(v2, at + sizeof(graph::VertexId)),
+              0u)
+        << "entry at byte " << at;
+  }
 }
 
 // --- degenerate shapes through every backend ---------------------------
@@ -86,28 +70,20 @@ std::string BackendTempPath(const char* name) {
          std::to_string(::getpid()) + ".v2";
 }
 
-// Runs `index` through v1, v2-heap, compact, and (where available) the
-// mmap + paged zero-copy backends, checking the given probe distance.
+// Runs `index` through the heap loader and (where available) the mmap
+// backend, checking the given probe distance.
 void ExerciseAllBackends(const pll::Index& index, const char* tag,
                          graph::VertexId probe_s, graph::VertexId probe_t,
                          graph::Distance expected) {
   SCOPED_TRACE(tag);
   const auto n = index.NumVertices();
 
-  const pll::Index v1 = LoadV1(IndexBytes(index));
-  EXPECT_EQ(v1.NumVertices(), n);
-
   const std::string v2 = V2Bytes(index);
   const pll::Index heap = LoadV2(v2);
   EXPECT_EQ(heap.NumVertices(), n);
-
-  std::ostringstream compact(std::ios::binary);
-  pll::WriteCompactIndex(index, compact);
-  std::istringstream compact_in(compact.str(), std::ios::binary);
-  EXPECT_EQ(pll::ReadCompactIndex(compact_in).NumVertices(), n);
-
+  EXPECT_EQ(heap.Store(), index.Store());
+  EXPECT_EQ(V2Bytes(heap), v2);
   if (n > 0) {
-    EXPECT_EQ(v1.Query(probe_s, probe_t), expected);
     EXPECT_EQ(heap.Query(probe_s, probe_t), expected);
   }
 
@@ -116,15 +92,11 @@ void ExerciseAllBackends(const pll::Index& index, const char* tag,
   pll::WriteIndexV2File(index, path);
   const auto mapped = pll::MmapLabelStore::Open(path);
   EXPECT_EQ(mapped->NumVertices(), n);
-  const auto paged = pll::PagedLabelStore::Open(path, 1 << 16);
-  EXPECT_EQ(paged->NumVertices(), n);
+  EXPECT_EQ(mapped->TotalEntries(), index.TotalEntries());
   if (n > 0) {
     // Zero-copy rows are sentinel-terminated; the merge must terminate.
     EXPECT_EQ(pll::QuerySentinel(mapped->RowBegin(index.RankOf(probe_s)),
                                  mapped->RowBegin(index.RankOf(probe_t))),
-              expected);
-    EXPECT_EQ(pll::QuerySentinel(paged->RowBegin(index.RankOf(probe_s)),
-                                 paged->RowBegin(index.RankOf(probe_t))),
               expected);
   }
   std::remove(path.c_str());
@@ -132,25 +104,17 @@ void ExerciseAllBackends(const pll::Index& index, const char* tag,
 }
 
 TEST(DegenerateShapes, ZeroVertexIndexSurvivesEveryBackend) {
-  const pll::Index empty(pll::LabelStore::FromRows({}), {});
+  const pll::Index empty = corpus::MakeZeroVertexIndex();
   EXPECT_EQ(empty.NumVertices(), 0u);
   ExerciseAllBackends(empty, "zero_vertex", 0, 0, 0);
-
-  // The direct store serializers handle n == 0 too.
-  std::ostringstream out(std::ios::binary);
-  empty.Store().Serialize(out);
-  std::istringstream in(out.str(), std::ios::binary);
-  EXPECT_EQ(pll::LabelStore::Deserialize(in).NumVertices(), 0u);
 }
 
 TEST(DegenerateShapes, ZeroLabelRowsSurviveEveryBackend) {
   // Three vertices, no labels at all: every row is just its sentinel,
   // every query is "disconnected".
-  const graph::VertexId n = 3;
-  pll::LabelStore store =
-      pll::LabelStore::FromRows(std::vector<std::vector<pll::LabelEntry>>(n));
-  ASSERT_EQ(store.TotalEntries(), 0u);
-  const pll::Index index(std::move(store), {0, 1, 2});
+  const pll::Index index = corpus::MakeZeroLabelIndex();
+  ASSERT_EQ(index.NumVertices(), 3u);
+  ASSERT_EQ(index.TotalEntries(), 0u);
   ExerciseAllBackends(index, "zero_labels", 0, 2,
                       graph::kInfiniteDistance);
 }

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/generators.hpp"
+#include "pll/format_v2.hpp"
 #include "pll/serial_pll.hpp"
 #include "pll/verify.hpp"
 
@@ -43,8 +44,8 @@ TEST(IndexTest, SaveLoadRoundTrip) {
   const Graph g = graph::BarabasiAlbert(70, 3, kUniform, 3);
   const Index index = BuildTestIndex(g);
   std::stringstream buffer;
-  index.Save(buffer);
-  const Index loaded = Index::Load(buffer);
+  WriteIndexV2(index, buffer);
+  const Index loaded = ReadIndexV2(buffer);
   EXPECT_EQ(index, loaded);
   const auto verdict = VerifyExhaustive(g, loaded);
   EXPECT_TRUE(verdict.Ok()) << verdict.ToString();
@@ -54,7 +55,7 @@ TEST(IndexTest, SaveLoadFileRoundTrip) {
   const Graph g = graph::Cycle(20, kUniform, 4);
   const Index index = BuildTestIndex(g);
   const std::string path = testing::TempDir() + "/parapll_index_test.bin";
-  index.SaveFile(path);
+  WriteIndexV2File(index, path);
   const Index loaded = Index::LoadFile(path);
   EXPECT_EQ(index, loaded);
 }
@@ -63,10 +64,10 @@ TEST(IndexTest, LoadRejectsTruncatedStream) {
   const Graph g = graph::Path(10, kUniform, 5);
   const Index index = BuildTestIndex(g);
   std::stringstream buffer;
-  index.Save(buffer);
+  WriteIndexV2(index, buffer);
   const std::string full = buffer.str();
   std::stringstream truncated(full.substr(0, full.size() - 8));
-  EXPECT_THROW(Index::Load(truncated), std::runtime_error);
+  EXPECT_THROW(ReadIndexV2(truncated), std::runtime_error);
 }
 
 TEST(IndexTest, MemoryBytesScalesWithEntries) {

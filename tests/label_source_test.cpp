@@ -1,6 +1,6 @@
-// The pluggable-label-storage contract: every LabelSource backend (heap
-// LabelStore, zero-copy MmapLabelStore, bounded PagedLabelStore) must
-// answer bit-identical distances through QueryEngine, and the format-v2
+// The pluggable-label-storage contract: both LabelSource backends (heap
+// LabelStore, zero-copy MmapLabelStore) must answer bit-identical
+// distances through QueryEngine, and the format-v2
 // container must make the mmap path genuinely zero-copy (open time far
 // below the heap deserializer on a large index).
 #include "pll/label_source.hpp"
@@ -21,7 +21,6 @@
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/mmap_store.hpp"
-#include "pll/paged_store.hpp"
 #include "pll/serial_pll.hpp"
 #include "query/query_engine.hpp"
 #include "util/rng.hpp"
@@ -66,11 +65,12 @@ std::size_t FileBytes(const std::string& path) {
 
 TEST(StoreBackendTest, NamesRoundTrip) {
   for (const pll::StoreBackend backend :
-       {pll::StoreBackend::kHeap, pll::StoreBackend::kMmap,
-        pll::StoreBackend::kPaged}) {
+       {pll::StoreBackend::kHeap, pll::StoreBackend::kMmap}) {
     EXPECT_EQ(pll::StoreBackendFromString(pll::ToString(backend)), backend);
   }
   EXPECT_THROW((void)pll::StoreBackendFromString("disk"),
+               std::runtime_error);
+  EXPECT_THROW((void)pll::StoreBackendFromString("paged"),
                std::runtime_error);
 }
 
@@ -85,21 +85,8 @@ TEST(FormatV2Test, FileRoundTripPreservesStoreOrderAndManifest) {
   EXPECT_EQ(loaded.Store(), index.Store());
   EXPECT_TRUE(std::equal(loaded.Order().begin(), loaded.Order().end(),
                          index.Order().begin(), index.Order().end()));
-  // The embedded manifest is stamped with the container's version; all
-  // other provenance survives.
-  pll::BuildManifest want = index.Manifest();
-  want.format_version = pll::kIndexFormatV2;
-  EXPECT_EQ(loaded.Manifest(), want);
-
-  // Republishing the v2-loaded index as a v1 container restamps the
-  // embedded manifest — format_version names the container, not the
-  // file the index came from.
-  const std::string v1_path = TempPath("roundtrip_v1");
-  loaded.SaveFile(v1_path);
-  const pll::Index republished = pll::Index::LoadFile(v1_path);
-  EXPECT_EQ(republished.Manifest().format_version, pll::kIndexFormatV1);
-  EXPECT_EQ(republished.Store(), index.Store());
-  std::remove(v1_path.c_str());
+  EXPECT_EQ(loaded.Manifest(), index.Manifest());
+  EXPECT_EQ(loaded.Manifest().format_version, pll::kIndexFormatV2);
   std::remove(path.c_str());
 }
 
@@ -116,8 +103,9 @@ TEST(FormatV2Test, EmptyIndexRoundTrips) {
 
 #if PARAPLL_HAVE_MMAP
 
-// The core acceptance matrix: on several graph families, every backend's
-// QueryBatch answers are bit-identical to the heap per-call baseline.
+// The core acceptance matrix: on several graph families, the mapped
+// backend's QueryBatch answers are bit-identical to the heap per-call
+// baseline.
 TEST(LabelSourceTest, AllBackendsAnswerIdenticallyAcrossGraphFamilies) {
   struct Family {
     const char* name;
@@ -140,19 +128,13 @@ TEST(LabelSourceTest, AllBackendsAnswerIdenticallyAcrossGraphFamilies) {
       expected[i] = index.Query(pairs[i].first, pairs[i].second);
     }
 
-    const std::shared_ptr<pll::MmapLabelStore> mapped =
+    const std::shared_ptr<const pll::LabelSource> mapped =
         pll::MmapLabelStore::Open(path);
-    const std::shared_ptr<pll::PagedLabelStore> paged =
-        pll::PagedLabelStore::Open(path, FileBytes(path) / 4);
-    const std::shared_ptr<const pll::LabelSource> sources[] = {mapped, paged};
-    for (const auto& source : sources) {
-      SCOPED_TRACE(pll::ToString(source->Backend()));
-      EXPECT_EQ(source->NumVertices(), index.NumVertices());
-      EXPECT_EQ(source->TotalEntries(), index.TotalEntries());
-      query::QueryEngine engine(source, index.Order(),
-                                {.threads = 2, .min_pairs_per_shard = 64});
-      EXPECT_EQ(engine.QueryBatch(pairs), expected);
-    }
+    EXPECT_EQ(mapped->NumVertices(), index.NumVertices());
+    EXPECT_EQ(mapped->TotalEntries(), index.TotalEntries());
+    query::QueryEngine engine(mapped, index.Order(),
+                              {.threads = 2, .min_pairs_per_shard = 64});
+    EXPECT_EQ(engine.QueryBatch(pairs), expected);
     std::remove(path.c_str());
   }
 }
@@ -174,100 +156,19 @@ TEST(MmapLabelStoreTest, ExposesManifestAndOrderFromTheMapping) {
   EXPECT_EQ(mapped->FileBytes(), FileBytes(path));
   // Bookkeeping only: the mapping's pages are file-backed, not owned.
   EXPECT_LT(mapped->MemoryBytes(), std::size_t{4096});
-  EXPECT_FALSE(mapped->Cache().valid);
   std::remove(path.c_str());
 }
 
-// A quarter-of-the-index budget forces eviction traffic while every
-// answer stays correct, and the cache counters expose the churn.
-TEST(PagedLabelStoreTest, QuarterBudgetStaysCorrectAndCountsEvictions) {
-  const Graph g = graph::BarabasiAlbert(220, 4, kUniform, 51);
-  const pll::Index index = BuildIndex(g);
-  const std::string path = TempPath("quarter");
-  pll::WriteIndexV2File(index, path);
-
-  const std::size_t budget = FileBytes(path) / 4;
-  const auto paged = pll::PagedLabelStore::Open(path, budget);
-  EXPECT_EQ(paged->BudgetBytes(), budget);
-
-  const auto pairs = RandomPairs(g.NumVertices(), 4000, 61);
-  query::QueryEngine engine(paged, index.Order(), {.threads = 1});
-  const auto got = engine.QueryBatch(pairs);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ASSERT_EQ(got[i], index.Query(pairs[i].first, pairs[i].second))
-        << "pair " << i;
-  }
-
-  const pll::LabelSource::CacheStats stats = paged->Cache();
-  EXPECT_TRUE(stats.valid);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
-  EXPECT_GT(stats.evictions, 0u);  // ¼ budget cannot hold the working set
-  EXPECT_LE(stats.resident_bytes, budget);
-  EXPECT_EQ(paged->MemoryBytes(), sizeof(pll::PagedLabelStore) +
-                                      static_cast<std::size_t>(
-                                          stats.resident_bytes));
-  std::remove(path.c_str());
-}
-
-// With a budget smaller than any row, every row takes the bypass path
-// (pointers into the mapping) and the cache never populates — yet the
-// distances are still exact.
-TEST(PagedLabelStoreTest, TinyBudgetBypassesCacheCorrectly) {
-  const Graph g = graph::ErdosRenyi(60, 180, kUniform, 71);
-  const pll::Index index = BuildIndex(g);
-  const std::string path = TempPath("bypass");
-  pll::WriteIndexV2File(index, path);
-
-  const auto paged = pll::PagedLabelStore::Open(path, 8);  // < one entry
-  const auto pairs = RandomPairs(g.NumVertices(), 500, 73);
-  query::QueryEngine engine(paged, index.Order(), {});
-  const auto got = engine.QueryBatch(pairs);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ASSERT_EQ(got[i], index.Query(pairs[i].first, pairs[i].second));
-  }
-  const pll::LabelSource::CacheStats stats = paged->Cache();
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
-  EXPECT_EQ(stats.resident_bytes, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(PagedLabelStoreTest, ReadaheadWarmsTheCache) {
-  const Graph g = graph::ErdosRenyi(50, 150, kUniform, 81);
-  const pll::Index index = BuildIndex(g);
-  const std::string path = TempPath("readahead");
-  pll::WriteIndexV2File(index, path);
-
-  const auto paged = pll::PagedLabelStore::Open(path, FileBytes(path));
-  ASSERT_TRUE(paged->WantsReadahead());
-  std::vector<graph::VertexId> ranks;
-  for (graph::VertexId v = 0; v < 16; ++v) {
-    ranks.push_back(v);
-  }
-  paged->Readahead(ranks);
-  const auto after_warm = paged->Cache();
-  EXPECT_EQ(after_warm.misses, 16u);
-  // Touching the warmed rows is all hits.
-  for (const graph::VertexId v : ranks) {
-    (void)paged->RowBegin(v);
-  }
-  const auto after_read = paged->Cache();
-  EXPECT_EQ(after_read.misses, 16u);
-  EXPECT_EQ(after_read.hits, 16u);
-  std::remove(path.c_str());
-}
-
-// Concurrent shards hammer the LRU under a small budget; the annotated
-// mutex plus the pin ring must keep every returned pointer valid (TSan /
-// ASan builds make this a real race detector).
-TEST(PagedLabelStoreTest, MultithreadedBatchesStayCorrectUnderEviction) {
+// Concurrent shards read the one shared mapping; every answer must match
+// the heap baseline (TSan / ASan builds make this a race detector).
+TEST(MmapLabelStoreTest, MultithreadedBatchesStayCorrect) {
   const Graph g = graph::BarabasiAlbert(180, 3, kUniform, 91);
   const pll::Index index = BuildIndex(g);
   const std::string path = TempPath("threads");
   pll::WriteIndexV2File(index, path);
 
-  const auto paged = pll::PagedLabelStore::Open(path, FileBytes(path) / 8);
-  query::QueryEngine engine(paged, index.Order(),
+  const auto mapped = pll::MmapLabelStore::Open(path);
+  query::QueryEngine engine(mapped, index.Order(),
                             {.threads = 4, .min_pairs_per_shard = 32});
   for (std::uint64_t round = 0; round < 6; ++round) {
     const auto pairs = RandomPairs(g.NumVertices(), 2000, 100 + round);

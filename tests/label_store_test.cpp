@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace parapll::pll {
 namespace {
 
@@ -129,24 +127,6 @@ TEST(LabelStoreTest, FromFlatRejectsBrokenInvariants) {
   EXPECT_THROW(
       LabelStore::FromFlat({0, 3}, {{2, 1}, sentinel, sentinel}),
       std::runtime_error);
-}
-
-TEST(LabelStoreTest, SerializeRoundTrip) {
-  std::vector<std::vector<LabelEntry>> rows(3);
-  rows[0] = {{0, 0}};
-  rows[1] = {{0, 5}, {1, 0}};
-  rows[2] = {{2, 0}};
-  const LabelStore store = LabelStore::FromRows(std::move(rows));
-  std::stringstream buffer;
-  store.Serialize(buffer);
-  const LabelStore loaded = LabelStore::Deserialize(buffer);
-  EXPECT_EQ(store, loaded);
-}
-
-TEST(LabelStoreTest, DeserializeRejectsGarbage) {
-  std::stringstream buffer;
-  buffer << "garbage bytes here and more of them";
-  EXPECT_THROW(LabelStore::Deserialize(buffer), std::runtime_error);
 }
 
 TEST(LabelStoreTest, EmptyStore) {

@@ -147,7 +147,7 @@ TEST(QueryEngineTest, LargeShardedBatchMatchesPerCall) {
 
 // The pluggable-source ctor (shared ownership of a LabelSource + vertex
 // order) must answer exactly like the legacy Index ctor — it is the same
-// engine the daemon builds over mmap/paged backends.
+// engine the daemon builds over the mmap backend.
 TEST(QueryEngineTest, SourceCtorMatchesIndexCtor) {
   const Graph g = graph::ErdosRenyi(100, 300, kUniform, 37);
   auto owner = std::make_shared<pll::Index>(BuildTestIndex(g));

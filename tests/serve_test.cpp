@@ -34,6 +34,7 @@
 #ifdef PARAPLL_HAVE_SOCKETS
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -193,6 +194,8 @@ class RawClient {
     }
     return DecodeResponsePayload(payload);
   }
+
+  [[nodiscard]] int fd() const { return fd_; }
 
  private:
   int fd_ = -1;
@@ -473,6 +476,73 @@ TEST(QueryServerTest, LoadGenClosedLoopAnswersEverything) {
   server.Stop();
 }
 
+// Offered far beyond what one connection can carry, the open loop sends
+// each request late, after the previous response. Request k is due at
+// k / rate but completes near k * round_trip, so its latency grows with k
+// and the slowest requests lag by about `seconds - duration`. Timing from
+// the scheduled send keeps that backlog in the p99; timing from the
+// actual send would report about one round trip.
+TEST(QueryServerTest, LoadGenOpenLoopLatencyIncludesScheduleLag) {
+  const Graph g = graph::ErdosRenyi(80, 240, {WeightModel::kUniform, 9}, 4);
+  QueryServer server(BuildTestIndex(g), {});
+  server.Start();
+  LoadGenOptions load;
+  load.port = server.Port();
+  load.connections = 1;
+  load.pairs_per_request = 16;
+  load.max_vertex = g.NumVertices();
+  load.open_loop_qps = 200'000.0;
+  load.duration_seconds = 0.01;  // 2000 requests due within 10 ms
+  const LoadGenReport report = RunLoadGen(load);
+  EXPECT_EQ(report.answered + report.shed, 2000u);
+  EXPECT_EQ(report.errors, 0u);
+  // Overloaded: the run took well past its schedule.
+  ASSERT_GT(report.seconds, 3 * load.duration_seconds);
+  const double lag_ns = (report.seconds - load.duration_seconds) * 1e9;
+  EXPECT_GE(static_cast<double>(report.p99_ns), 0.5 * lag_ns)
+      << "p99 " << report.p99_ns << " ns hides a schedule lag of " << lag_ns
+      << " ns";
+  server.Stop();
+}
+
+// Responses are small frames; the daemon disables Nagle on every accepted
+// connection so one is never held back waiting for the client's ACK.
+TEST(QueryServerTest, AcceptedConnectionsSetTcpNoDelay) {
+  const Graph g = graph::ErdosRenyi(40, 100, {WeightModel::kUniform, 9}, 3);
+  QueryServer server(BuildTestIndex(g), {});
+  server.Start();
+  RawClient raw(server.Port());
+  raw.Send(EncodeInfoRequest());
+  ASSERT_EQ(raw.ReadSlowly(4096).status, ResponseStatus::kInfo);
+
+  // The daemon runs in this process, so its end of the connection is one
+  // of our descriptors: the socket whose peer is the client's address.
+  sockaddr_in client{};
+  socklen_t client_len = sizeof(client);
+  ASSERT_EQ(::getsockname(raw.fd(), reinterpret_cast<sockaddr*>(&client),
+                          &client_len),
+            0);
+  int accepted = -1;
+  for (int fd = 0; fd < 4096 && accepted < 0; ++fd) {
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof(peer);
+    if (fd != raw.fd() &&
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) ==
+            0 &&
+        peer.sin_family == AF_INET && peer.sin_port == client.sin_port &&
+        peer.sin_addr.s_addr == client.sin_addr.s_addr) {
+      accepted = fd;
+    }
+  }
+  ASSERT_GE(accepted, 0) << "accepted socket not found";
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_NE(nodelay, 0);
+  server.Stop();
+}
+
 // Hot swap under live traffic: republish a different complete artifact
 // under the watched path while a client hammers the daemon. The swap must
 // be observed (Info().hot_swaps), and not a single query may fail.
@@ -622,11 +692,9 @@ TEST(QueryServerTest, ServesIdenticallyFromEveryBackend) {
       query::QueryEngine(built.artifact.index).QueryBatch(pairs);
 
   for (const pll::StoreBackend backend :
-       {pll::StoreBackend::kHeap, pll::StoreBackend::kMmap,
-        pll::StoreBackend::kPaged}) {
+       {pll::StoreBackend::kHeap, pll::StoreBackend::kMmap}) {
     SCOPED_TRACE(pll::ToString(backend));
-    pll::ServableIndex servable =
-        pll::ServableIndex::Load(path, backend, /*cache_bytes=*/1 << 16);
+    pll::ServableIndex servable = pll::ServableIndex::Load(path, backend);
     EXPECT_EQ(servable.backend, backend);
     QueryServer server(std::move(servable), {});
     server.Start();
@@ -640,97 +708,65 @@ TEST(QueryServerTest, ServesIdenticallyFromEveryBackend) {
   std::remove(path.c_str());
 }
 
-// Hot swap on a zero-copy backend: the republished v2 file must flip in
-// under live traffic without failing a query — the old mapping may only
-// be unmapped after in-flight batches drain (a use-after-unmap here is a
-// crash, which is exactly what this test would catch).
-TEST(QueryServerTest, HotSwapUnderTrafficOnZeroCopyBackends) {
+// Hot swap on the zero-copy backend: the republished v2 file must flip
+// in under live traffic without failing a query — the old mapping may
+// only be unmapped after in-flight batches drain (a use-after-unmap here
+// is a crash, which is exactly what this test would catch).
+TEST(QueryServerTest, HotSwapUnderTrafficOnZeroCopyBackend) {
   const Graph g1 =
       graph::ErdosRenyi(80, 240, {WeightModel::kUniform, 9}, 301);
   const Graph g2 =
       graph::ErdosRenyi(80, 260, {WeightModel::kUniform, 9}, 302);
-  for (const pll::StoreBackend backend :
-       {pll::StoreBackend::kMmap, pll::StoreBackend::kPaged}) {
-    SCOPED_TRACE(pll::ToString(backend));
-    const std::string path = BackendTempPath(pll::ToString(backend));
-    build::Run(g1, {}).artifact.Save(path, pll::kIndexFormatV2);
+  const pll::StoreBackend backend = pll::StoreBackend::kMmap;
+  const std::string path = BackendTempPath(pll::ToString(backend));
+  build::Run(g1, {}).artifact.Save(path, pll::kIndexFormatV2);
 
-    ServeOptions options;
-    options.watch_path = path;
-    options.watch_poll_ms = 20;
-    options.backend = backend;
-    options.cache_bytes = 1 << 16;
-    QueryServer server(
-        pll::ServableIndex::Load(path, backend, options.cache_bytes),
-        options);
-    server.Start();
-
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> answered{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::thread traffic([&] {
-      try {
-        ServeClient client;
-        client.Connect(server.Port());
-        const auto pairs = RandomPairs(80, 16, 77);
-        while (!stop.load()) {
-          const Response response = client.Distance(pairs);
-          if (response.status == ResponseStatus::kOk &&
-              response.distances.size() == pairs.size()) {
-            answered.fetch_add(1);
-          } else {
-            failed.fetch_add(1);
-          }
-        }
-      } catch (const std::exception&) {
-        failed.fetch_add(1);
-      }
-    });
-
-    build::Run(g2, {}).artifact.Save(path, pll::kIndexFormatV2);
-    ServeClient prober;
-    prober.Connect(server.Port());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    std::uint64_t swaps = 0;
-    while (swaps == 0 && std::chrono::steady_clock::now() < deadline) {
-      swaps = prober.Info().hot_swaps;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    stop.store(true);
-    traffic.join();
-
-    EXPECT_EQ(swaps, 1u);
-    EXPECT_EQ(failed.load(), 0u);
-    EXPECT_GT(answered.load(), 0u);
-    EXPECT_EQ(server.Stats().reload_errors, 0u);
-    server.Stop();
-    std::remove(path.c_str());
-  }
-}
-
-// A v1 republish under a zero-copy watcher falls back to the heap loader
-// (with a warning) instead of erroring the reload away.
-TEST(QueryServerTest, ZeroCopyBackendFallsBackToHeapOnV1File) {
-  const Graph g = graph::ErdosRenyi(50, 150, {WeightModel::kUniform, 9}, 88);
-  const build::BuildOutcome built = build::Run(g, {});
-  const std::string path = BackendTempPath("fallback");
-  built.artifact.Save(path);  // v1 container
-
-  pll::ServableIndex servable =
-      pll::ServableIndex::Load(path, pll::StoreBackend::kMmap);
-  EXPECT_EQ(servable.backend, pll::StoreBackend::kHeap);
-  EXPECT_EQ(servable.format_version, pll::kIndexFormatV1);
-
-  QueryServer server(std::move(servable), {});
+  ServeOptions options;
+  options.watch_path = path;
+  options.watch_poll_ms = 20;
+  options.backend = backend;
+  QueryServer server(pll::ServableIndex::Load(path, backend), options);
   server.Start();
-  ServeClient client;
-  client.Connect(server.Port());
-  const auto pairs = RandomPairs(g.NumVertices(), 16, 5);
-  const Response response = client.Distance(pairs);
-  ASSERT_EQ(response.status, ResponseStatus::kOk);
-  EXPECT_EQ(response.distances,
-            query::QueryEngine(built.artifact.index).QueryBatch(pairs));
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> failed{0};
+  std::thread traffic([&] {
+    try {
+      ServeClient client;
+      client.Connect(server.Port());
+      const auto pairs = RandomPairs(80, 16, 77);
+      while (!stop.load()) {
+        const Response response = client.Distance(pairs);
+        if (response.status == ResponseStatus::kOk &&
+            response.distances.size() == pairs.size()) {
+          answered.fetch_add(1);
+        } else {
+          failed.fetch_add(1);
+        }
+      }
+    } catch (const std::exception&) {
+      failed.fetch_add(1);
+    }
+  });
+
+  build::Run(g2, {}).artifact.Save(path, pll::kIndexFormatV2);
+  ServeClient prober;
+  prober.Connect(server.Port());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::uint64_t swaps = 0;
+  while (swaps == 0 && std::chrono::steady_clock::now() < deadline) {
+    swaps = prober.Info().hot_swaps;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  stop.store(true);
+  traffic.join();
+
+  EXPECT_EQ(swaps, 1u);
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_GT(answered.load(), 0u);
+  EXPECT_EQ(server.Stats().reload_errors, 0u);
   server.Stop();
   std::remove(path.c_str());
 }

@@ -60,7 +60,6 @@ GATED_METRICS = (
     ("batched_query_mqps", True, "threshold_query_pct"),
     ("per_call_query_mqps", True, "threshold_query_pct"),
     ("batched_query_mqps_mmap", True, "threshold_query_pct"),
-    ("batched_query_mqps_paged", True, "threshold_query_pct"),
     ("serve_closed_qps", True, "threshold_query_pct"),
     ("serve_closed_p99_ms", False, "threshold_latency_pct"),
 )
@@ -168,7 +167,6 @@ def self_test():
         "batched_query_mqps": 5.0,
         "per_call_query_mqps": 3.0,
         "batched_query_mqps_mmap": 4.5,
-        "batched_query_mqps_paged": 2.0,
         "serve_closed_qps": 50000.0,
         "serve_closed_p99_ms": 2.0,
     }
@@ -204,11 +202,6 @@ def self_test():
             "2x mmap-backend regression fails",
             gate({"batched_query_mqps_mmap": 2.0}),
             ["batched_query_mqps_mmap"],
-        ),
-        (
-            "2x paged-backend regression fails",
-            gate({"batched_query_mqps_paged": 1.0}),
-            ["batched_query_mqps_paged"],
         ),
         (
             "2x serve-p99 regression fails",

@@ -38,10 +38,9 @@ trap 'rm -rf "$WORK"' EXIT
 # build takes real time, small enough for a CI minute.
 "$CLI" generate --dataset Epinions --scale 0.2 --seed 7 --out "$WORK/g.txt"
 
-# Format v2 (mmap-able) so one artifact serves every backend; the heap
-# loader reads v2 natively.
+# One format-v2 artifact serves both backends.
 "$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 4 \
-  --out "$WORK/g.index" --index-format 2 \
+  --out "$WORK/g.index" \
   --metrics-json "$WORK/build_metrics.json" \
   >/dev/null
 
@@ -49,16 +48,11 @@ trap 'rm -rf "$WORK"' EXIT
   --seed 7 >"$WORK/qbench.txt"
 cat "$WORK/qbench.txt"
 
-# Memory-budget point: the same batched workload answered from the
-# zero-copy mapping and from the paged row cache at 1/4 of the index size
-# (--cache-bytes 0 default), so each snapshot records the memory/
-# throughput frontier alongside the heap numbers.
+# The same batched workload answered from the zero-copy mapping, so each
+# snapshot records the mmap backend alongside the heap numbers.
 "$CLI" query-bench --index "$WORK/g.index" --pairs 200000 --threads 4 \
   --seed 7 --backend mmap >"$WORK/qbench_mmap.txt"
 cat "$WORK/qbench_mmap.txt"
-"$CLI" query-bench --index "$WORK/g.index" --pairs 200000 --threads 4 \
-  --seed 7 --backend paged >"$WORK/qbench_paged.txt"
-cat "$WORK/qbench_paged.txt"
 
 # Serving path: closed-loop serve-bench against an in-process daemon on an
 # ephemeral port — capacity of the full socket + coalescing + QueryBatch
@@ -80,13 +74,13 @@ kill "$DAEMON_PID" 2>/dev/null && wait "$DAEMON_PID" 2>/dev/null || true
 trap 'rm -rf "$WORK"' EXIT
 
 python3 - "$WORK/build_metrics.json" "$WORK/qbench.txt" "$WORK/sbench.txt" \
-  "$OUT" "$WORK/qbench_mmap.txt" "$WORK/qbench_paged.txt" <<'EOF'
+  "$OUT" "$WORK/qbench_mmap.txt" <<'EOF'
 import json
 import re
 import sys
 
 metrics_path, qbench_path, sbench_path, out_path = sys.argv[1:5]
-qbench_mmap_path, qbench_paged_path = sys.argv[5:7]
+qbench_mmap_path = sys.argv[5]
 
 with open(metrics_path) as fh:
     metrics = json.load(fh)
@@ -100,22 +94,11 @@ per_call = re.search(r"per-call:.*\(([0-9.]+) Mq/s", qbench)
 if batched is None or per_call is None:
     sys.exit("query-bench output missing throughput lines")
 
-
-def batched_mqps(path, name):
-    with open(path) as fh:
-        text = fh.read()
-    m = re.search(r"batched:.*\(([0-9.]+) Mq/s", text)
-    if m is None:
-        sys.exit(f"query-bench {name} output missing throughput line")
-    return float(m.group(1))
-
-
-batched_mmap = batched_mqps(qbench_mmap_path, "mmap")
-batched_paged = batched_mqps(qbench_paged_path, "paged")
-with open(qbench_paged_path) as fh:
-    hit_rate = re.search(r"\(([0-9.]+)% hit rate\)", fh.read())
-if hit_rate is None:
-    sys.exit("paged query-bench output missing cache stats")
+with open(qbench_mmap_path) as fh:
+    mmap_batched = re.search(r"batched:.*\(([0-9.]+) Mq/s", fh.read())
+if mmap_batched is None:
+    sys.exit("query-bench mmap output missing throughput line")
+batched_mmap = float(mmap_batched.group(1))
 
 with open(sbench_path) as fh:
     sbench = fh.read()
@@ -144,8 +127,6 @@ snapshot = {
     "batched_query_mqps": float(batched.group(1)),
     "per_call_query_mqps": float(per_call.group(1)),
     "batched_query_mqps_mmap": batched_mmap,
-    "batched_query_mqps_paged": batched_paged,
-    "paged_cache_hit_rate_pct": float(hit_rate.group(1)),
     "serve_closed_qps": float(serve_qps.group(1)),
     "serve_closed_p99_ms": float(serve_p99.group(1)) / 1000.0,
 }
@@ -154,6 +135,6 @@ with open(out_path, "w") as fh:
     fh.write("\n")
 print(f"wrote {out_path}: build {build_seconds:.3f}s, "
       f"batched {batched.group(1)} Mq/s "
-      f"(mmap {batched_mmap:.2f}, paged-1/4 {batched_paged:.2f}), "
+      f"(mmap {batched_mmap:.2f}), "
       f"serve {serve_qps.group(1)} req/s")
 EOF

@@ -1,6 +1,6 @@
 #!/bin/sh
-# End-to-end smoke test for parapll_cli: generate -> build (both index
-# formats) -> stats -> query -> verify. Run by ctest with the binary path
+# End-to-end smoke test for parapll_cli: generate -> build (parallel and
+# cluster modes) -> stats -> query -> verify. Run by ctest with the binary path
 # as $1; uses a private temp directory and fails on any nonzero step.
 set -eu
 
@@ -13,17 +13,17 @@ trap 'rm -rf "$WORK"' EXIT
 "$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 4 \
   --out "$WORK/g.index"
 "$CLI" build --graph "$WORK/g.txt" --mode cluster --nodes 3 --sync 8 \
-  --out "$WORK/g.zindex" --compact
+  --out "$WORK/gc.index"
 
 "$CLI" stats --index "$WORK/g.index"
-"$CLI" stats --index "$WORK/g.zindex" --compact
+"$CLI" stats --index "$WORK/gc.index"
 
 "$CLI" query --index "$WORK/g.index" --s 0 --t 5 | grep -q '^d(0, 5) = '
-printf '1 2\n3 4\n' | "$CLI" query --index "$WORK/g.zindex" --compact \
+printf '1 2\n3 4\n' | "$CLI" query --index "$WORK/gc.index" \
   | grep -c '^d(' | grep -qx 2
 
 "$CLI" verify --index "$WORK/g.index" --graph "$WORK/g.txt" --pairs 400
-"$CLI" verify --index "$WORK/g.zindex" --compact --graph "$WORK/g.txt" \
+"$CLI" verify --index "$WORK/gc.index" --graph "$WORK/g.txt" \
   --pairs 400
 
 # Checkpoint -> resume round trip: a halted build must leave a resumable

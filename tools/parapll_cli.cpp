@@ -2,7 +2,7 @@
 //
 //   parapll_cli generate --dataset Epinions --scale 0.05 --out g.txt
 //   parapll_cli build    --graph g.txt --mode parallel --threads 8
-//                        --out g.index [--compact]
+//                        --out g.index
 //   parapll_cli query    --index g.index -s 3 -t 99
 //   parapll_cli query    --index g.index            # pairs from stdin
 //   parapll_cli stats    --index g.index
@@ -58,37 +58,33 @@ void PublishHealthInfo(const pll::Index& index) {
 
 int Usage() {
   std::fputs(
-      "usage: parapll_cli <generate|build|query|stats|verify|convert|"
-      "query-bench|serve|serve-bench> [flags]\n"
+      "usage: parapll_cli <generate|build|query|stats|verify|query-bench|"
+      "serve|serve-bench> [flags]\n"
       "  generate --dataset NAME --scale S --seed K --out FILE\n"
       "  build    --graph FILE --mode serial|parallel|simulated|cluster\n"
       "           --threads P --nodes Q --sync C --policy static|dynamic\n"
-      "           --out FILE [--compact] [--index-format 1|2]\n"
-      "           (format 2 is the 16-byte-aligned mmap-able container\n"
-      "           that serve --mmap / --cache-mb map zero-copy)\n"
+      "           --out FILE   (the format-v2 index container, which\n"
+      "           query-bench --backend mmap and serve --mmap map\n"
+      "           zero-copy)\n"
       "           [--checkpoint-dir D [--checkpoint-every K]] write a\n"
       "           resumable snapshot to D/checkpoint.bin every K roots\n"
       "           (and on SIGINT/SIGTERM); serial/parallel modes only\n"
       "           [--resume D] continue the build checkpointed in D\n"
       "           [--halt-after N] stop after N roots (testing hook)\n"
-      "  query    --index FILE [--compact] [-s S -t T]  (else stdin pairs)\n"
-      "  stats    --index FILE [--compact]\n"
-      "  verify   --index FILE [--compact] --graph FILE --pairs N\n"
-      "  convert  --index FILE [--compact] --out FILE --index-format 1|2\n"
-      "           rewrite an index into another container format\n"
-      "  query-bench --index FILE [--compact] --pairs N [--pair-file F]\n"
+      "  query    --index FILE [-s S -t T]  (else stdin pairs)\n"
+      "  stats    --index FILE\n"
+      "  verify   --index FILE --graph FILE --pairs N\n"
+      "  query-bench --index FILE --pairs N [--pair-file F]\n"
       "           --threads P --batch B   (batched vs per-call throughput)\n"
-      "           [--backend heap|mmap|paged [--cache-bytes B]] answer the\n"
-      "           batched pass from another label source; distances are\n"
-      "           verified against the heap per-call baseline\n"
+      "           [--backend heap|mmap] answer the batched pass from the\n"
+      "           heap rows or the mapped file; distances are verified\n"
+      "           against the heap per-call baseline\n"
       "  serve    --index FILE [--port N] [--threads P] [--watch]\n"
       "           [--max-queued-pairs Q] [--idle-timeout-ms T]\n"
       "           [--port-file F]   TCP daemon answering DISTANCE_QUERY\n"
       "           frames (see EXPERIMENTS.md); --watch hot-swaps the\n"
       "           engine when the index file is republished\n"
-      "           [--mmap | --cache-mb M] zero-copy map a format-v2 index,\n"
-      "           or bound label memory with an M-MB hot-row cache; v1\n"
-      "           files fall back to the heap loader with a warning\n"
+      "           [--mmap] serve straight from the mapped index file\n"
       "           [--request-log FILE [--request-log-sample N]] wide-event\n"
       "           JSONL, one record per request (tail-sampled); also at\n"
       "           /debug/requests with --stats-port\n"
@@ -120,17 +116,8 @@ int Usage() {
   return 1;
 }
 
-pll::Index LoadIndex(const std::string& path, bool compact) {
-  pll::Index index = [&] {
-    if (!compact) {
-      return pll::Index::LoadFile(path);
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("cannot open " + path);
-    }
-    return pll::ReadCompactIndex(in);
-  }();
+pll::Index LoadIndex(const std::string& path) {
+  pll::Index index = pll::Index::LoadFile(path);
   PublishHealthInfo(index);
   return index;
 }
@@ -193,27 +180,7 @@ int CmdBuild(util::ArgParser& args) {
     }
   }
   const std::string out = args.GetString("out");
-  const auto format =
-      static_cast<std::uint32_t>(std::max<std::int64_t>(
-          args.GetInt("index-format"), 1));
-  if (args.GetBool("compact")) {
-    if (format != pll::kIndexFormatV1) {
-      std::fprintf(stderr, "--compact only supports --index-format 1\n");
-      return 1;
-    }
-    std::ofstream stream(out, std::ios::binary);
-    if (!stream) {
-      throw std::runtime_error("cannot open " + out);
-    }
-    pll::WriteCompactIndex(index, stream);
-  } else if (format == pll::kIndexFormatV2) {
-    pll::WriteIndexV2File(index, out);
-  } else if (format == pll::kIndexFormatV1) {
-    index.SaveFile(out);
-  } else {
-    std::fprintf(stderr, "unknown --index-format %u\n", format);
-    return 1;
-  }
+  pll::WriteIndexV2File(index, out);
   if (report.complete) {
     std::printf("indexed n=%u in %s: LN=%.1f, %zu entries -> %s\n",
                 g.NumVertices(),
@@ -234,7 +201,7 @@ int CmdBuild(util::ArgParser& args) {
 
 int CmdQuery(util::ArgParser& args) {
   const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
+      LoadIndex(args.GetString("index"));
   auto answer = [&index](graph::VertexId s, graph::VertexId t) {
     if (s >= index.NumVertices() || t >= index.NumVertices()) {
       std::printf("d(%u, %u) = out-of-range\n", s, t);
@@ -263,15 +230,12 @@ int CmdQuery(util::ArgParser& args) {
 
 int CmdStats(util::ArgParser& args) {
   const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
+      LoadIndex(args.GetString("index"));
   std::printf("vertices:        %u\n", index.NumVertices());
   std::printf("label entries:   %zu\n", index.TotalEntries());
   std::printf("avg label size:  %.2f\n", index.AvgLabelSize());
   std::printf("memory:          %.2f MB\n",
               static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0));
-  std::printf("compact size:    %.2f MB\n",
-              static_cast<double>(pll::CompactSizeBytes(index.Store())) /
-                  (1024.0 * 1024.0));
   if (!(index.Manifest() == pll::BuildManifest{})) {
     std::printf("manifest:        %s\n", index.Manifest().ToJson().c_str());
   }
@@ -280,7 +244,7 @@ int CmdStats(util::ArgParser& args) {
 
 int CmdVerify(util::ArgParser& args) {
   const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
+      LoadIndex(args.GetString("index"));
   const graph::Graph g = graph::ReadEdgeListTextFile(args.GetString("graph"));
   if (g.NumVertices() != index.NumVertices()) {
     std::fprintf(stderr, "graph (n=%u) does not match index (n=%u)\n",
@@ -294,40 +258,12 @@ int CmdVerify(util::ArgParser& args) {
   return verdict.Ok() ? 0 : 1;
 }
 
-// Rewrites an index into another container format — chiefly v1 -> v2 so
-// an existing artifact can be served with --mmap / --cache-mb without a
-// rebuild. Loading funnels through Index::LoadFile, so either input
-// format (or --compact) converts to either output format.
-int CmdConvert(util::ArgParser& args) {
-  const std::string out = args.GetString("out");
-  if (args.GetString("index").empty() || out.empty()) {
-    std::fprintf(stderr, "convert: --index and --out are required\n");
-    return 1;
-  }
-  const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
-  const auto format = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(args.GetInt("index-format"), 1));
-  if (format == pll::kIndexFormatV2) {
-    pll::WriteIndexV2File(index, out);
-  } else if (format == pll::kIndexFormatV1) {
-    index.SaveFile(out);
-  } else {
-    std::fprintf(stderr, "unknown --index-format %u\n", format);
-    return 1;
-  }
-  std::printf("converted %s (n=%u, %zu entries) -> %s (format v%u)\n",
-              args.GetString("index").c_str(), index.NumVertices(),
-              index.TotalEntries(), out.c_str(), format);
-  return 0;
-}
-
 // Serving-style benchmark against a saved index: answers the same pairs
 // per-call and through QueryEngine::QueryBatch, verifies the distances
 // are identical, and prints both throughputs.
 int CmdQueryBench(util::ArgParser& args) {
   const pll::Index index =
-      LoadIndex(args.GetString("index"), args.GetBool("compact"));
+      LoadIndex(args.GetString("index"));
   if (index.NumVertices() == 0) {
     std::fprintf(stderr, "empty index\n");
     return 1;
@@ -397,23 +333,7 @@ int CmdQueryBench(util::ArgParser& args) {
   if (backend == pll::StoreBackend::kHeap) {
     engine = std::make_unique<query::QueryEngine>(index, engine_options);
   } else {
-    if (args.GetBool("compact")) {
-      std::fprintf(stderr, "--backend %s needs a non-compact index file\n",
-                   ToString(backend));
-      return 1;
-    }
-    auto cache_bytes = static_cast<std::size_t>(
-        std::max<std::int64_t>(args.GetInt("cache-bytes"), 0));
-    if (backend == pll::StoreBackend::kPaged && cache_bytes == 0) {
-      // Default paged budget: ¼ of the on-disk index (the memory-budget
-      // point tools/bench_snapshot.sh measures).
-      std::ifstream in(args.GetString("index"),
-                       std::ios::binary | std::ios::ate);
-      cache_bytes = static_cast<std::size_t>(
-          std::max<std::streamoff>(in.tellg(), 4096) / 4);
-    }
-    servable = pll::ServableIndex::Load(args.GetString("index"), backend,
-                                        cache_bytes);
+    servable = pll::ServableIndex::Load(args.GetString("index"), backend);
     engine = std::make_unique<query::QueryEngine>(
         servable.source, servable.order, engine_options);
   }
@@ -450,20 +370,6 @@ int CmdQueryBench(util::ArgParser& args) {
                 ToString(backend),
                 static_cast<double>(servable.file_bytes) / (1024.0 * 1024.0),
                 util::FormatDuration(servable.load_seconds).c_str());
-    const pll::LabelSource::CacheStats stats = engine->Source().Cache();
-    if (stats.valid) {
-      const std::uint64_t lookups = stats.hits + stats.misses;
-      std::printf("row cache:  %llu hits / %llu misses (%.1f%% hit rate), "
-                  "%llu evictions, %.2f MB resident\n",
-                  static_cast<unsigned long long>(stats.hits),
-                  static_cast<unsigned long long>(stats.misses),
-                  lookups == 0 ? 0.0
-                               : 100.0 * static_cast<double>(stats.hits) /
-                                     static_cast<double>(lookups),
-                  static_cast<unsigned long long>(stats.evictions),
-                  static_cast<double>(stats.resident_bytes) /
-                      (1024.0 * 1024.0));
-    }
   }
   if (slow_log != nullptr) {
     slow_log->Flush();
@@ -477,8 +383,8 @@ int CmdQueryBench(util::ArgParser& args) {
 
 // Runs the query daemon until SIGINT/SIGTERM (the signal-flush hook in
 // main writes any requested metrics/telemetry and exits the process).
-// `serve` requires a manifest-bearing artifact (the default index
-// format): hot reload keys off BuildManifest identity, and operators
+// `serve` requires a manifest-bearing artifact (what `build` writes):
+// hot reload keys off BuildManifest identity, and operators
 // deserve to know *what* a long-lived process serves.
 int CmdServe(util::ArgParser& args) {
   const std::string path = args.GetString("index");
@@ -487,24 +393,12 @@ int CmdServe(util::ArgParser& args) {
     return 1;
   }
   serve::ServeOptions options;
-  // --mmap serves straight from the mapped v2 container; --cache-mb > 0
-  // bounds resident label memory with the paged row cache instead.
-  const bool use_mmap = args.GetBool("mmap");
-  const auto cache_mb = static_cast<std::size_t>(
-      std::max<std::int64_t>(args.GetInt("cache-mb"), 0));
-  if (use_mmap && cache_mb > 0) {
-    std::fprintf(stderr, "serve: --mmap and --cache-mb are exclusive\n");
-    return 1;
-  }
-  if (use_mmap) {
+  // --mmap serves straight from the mapped v2 container.
+  if (args.GetBool("mmap")) {
     options.backend = pll::StoreBackend::kMmap;
-  } else if (cache_mb > 0) {
-    options.backend = pll::StoreBackend::kPaged;
-    options.cache_bytes = cache_mb << 20;
   }
 
-  pll::ServableIndex servable =
-      pll::ServableIndex::Load(path, options.backend, options.cache_bytes);
+  pll::ServableIndex servable = pll::ServableIndex::Load(path, options.backend);
   if (!servable.IsComplete()) {
     std::fprintf(stderr, "serve: %s is a partial checkpoint, not an index\n",
                  path.c_str());
@@ -651,16 +545,8 @@ int main(int argc, char** argv) {
             "snapshot every K finished roots (build; 0 = signal-only)")
       .Flag("resume", "", "continue from checkpoint directory (build)")
       .Flag("halt-after", "0", "stop after N roots, 0 = run all (build)")
-      .Flag("compact", "false", "use varint index format")
-      .Flag("index-format", "1",
-            "build/convert: container format (1 = streamed, 2 = mmap-able)")
-      .Flag("backend", "heap",
-            "query-bench: label source backend (heap|mmap|paged)")
-      .Flag("cache-bytes", "0",
-            "query-bench: paged row-cache budget bytes (0 = 1/4 file size)")
-      .Flag("mmap", "false", "serve: zero-copy mmap the index (format v2)")
-      .Flag("cache-mb", "0",
-            "serve: paged row-cache budget MB (> 0 selects paged backend)")
+      .Flag("backend", "heap", "query-bench: label source backend (heap|mmap)")
+      .Flag("mmap", "false", "serve: zero-copy mmap the index")
       .Flag("pairs", "500", "pair count (verify/query-bench)")
       .Flag("pair-file", "", "file of 's t' pairs (query-bench)")
       .Flag("batch", "8192", "pairs per QueryBatch call (query-bench)")
@@ -827,8 +713,6 @@ int main(int argc, char** argv) {
       code = CmdStats(args);
     } else if (command == "verify") {
       code = CmdVerify(args);
-    } else if (command == "convert") {
-      code = CmdConvert(args);
     } else if (command == "query-bench") {
       code = CmdQueryBench(args);
     } else if (command == "serve") {

@@ -175,13 +175,13 @@ grep -q '"server.accepted":' "$WORK/serve_metrics.json"
 grep -q '"server.hot_swaps":1' "$WORK/serve_metrics.json"
 grep -q '"server.request_latency_ns":' "$WORK/serve_metrics.json"
 
-# --- zero-copy serving: --mmap over a format-v2 artifact ------------------
-# Build the mmap-able container, serve it with --mmap, assert the
+# --- zero-copy serving: --mmap over the format-v2 artifact ----------------
+# Build the index container, serve it with --mmap, assert the
 # cold-start record (one log line carrying path, format version, bytes,
 # and mode), check the storage gauges on /metrics, then hot-swap a v2
 # republish under the watcher.
 "$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 2 --seed 7 \
-  --out "$WORK/g2.index" --index-format 2
+  --out "$WORK/g2.index"
 "$CLI" serve --index "$WORK/g2.index" --mmap --watch --watch-poll-ms 50 \
   --port-file "$WORK/mmap_port" --metrics-json "$WORK/mmap_metrics.json" \
   --stats-port 0 2> "$WORK/mmap_daemon.log" &
@@ -215,7 +215,7 @@ done
 # Hot swap stays zero-copy: republish a different v2 build and watch the
 # mapped engine flip without an error.
 "$CLI" build --graph "$WORK/g.txt" --mode parallel --threads 2 --seed 8 \
-  --out "$WORK/g2.index" --index-format 2
+  --out "$WORK/g2.index"
 i=0
 until "$CLI" serve-bench --port "$MMAP_PORT" --connections 1 --requests 1 \
   --pairs-per-request 1 | grep -q ' 1 hot swaps'; do
@@ -231,32 +231,5 @@ DAEMON_PID=""
   echo "unexpected mmap daemon exit status $STATUS" >&2; exit 1; }
 grep -q '"index.load_seconds":' "$WORK/mmap_metrics.json"
 grep -q '"store.memory_bytes":' "$WORK/mmap_metrics.json"
-
-# --- bounded-memory serving: --cache-mb publishes the cache gauges -------
-"$CLI" serve --index "$WORK/g2.index" --cache-mb 1 \
-  --port-file "$WORK/paged_port" --stats-port 0 \
-  2> "$WORK/paged_daemon.log" &
-DAEMON_PID=$!
-PAGED_PORT="$(wait_port_file "$WORK/paged_port")"
-i=0
-until grep -q 'stats endpoint' "$WORK/paged_daemon.log"; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "paged stats endpoint never came up" >&2; exit 1; }
-  sleep 0.1
-done
-PAGED_STATS_PORT="$(sed -n 's#.*http://127.0.0.1:\([0-9]*\)/metrics.*#\1#p' \
-  "$WORK/paged_daemon.log")"
-grep -q 'mode=paged' "$WORK/paged_daemon.log"
-"$CLI" serve-bench --port "$PAGED_PORT" --connections 2 --requests 50 \
-  --pairs-per-request 8 > "$WORK/bench_paged.txt"
-grep -q ' 0 errors' "$WORK/bench_paged.txt"
-http_get "$PAGED_STATS_PORT" /metrics "$WORK/metrics_paged.txt"
-for name in parapll_store_cache_hits parapll_store_cache_misses \
-            parapll_store_cache_evictions parapll_store_cache_hit_rate; do
-  [ -n "$(metric_value "$WORK/metrics_paged.txt" "$name")" ] || {
-    echo "cache gauge $name missing from the paged /metrics" >&2; exit 1; }
-done
-kill -TERM "$DAEMON_PID" && wait "$DAEMON_PID" || true
-DAEMON_PID=""
 
 echo "serve smoke test: OK"
