@@ -38,7 +38,6 @@
 #include "pll/serial_pll.hpp"
 #include "pll/verify.hpp"
 #include "query/query_engine.hpp"
-#include "query/slow_query_log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"

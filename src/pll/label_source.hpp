@@ -1,5 +1,5 @@
 // LabelSource — the ownership-agnostic read interface over a 2-hop label
-// index (ROADMAP item 2: serve indexes bigger than RAM).
+// index, so the query engine and the daemon serve heap and mmap rows alike.
 //
 // The LabelEntry / sentinel row contract (see label_store.hpp) stays
 // fixed; what varies is *where the bytes live*:

@@ -7,26 +7,6 @@
 
 namespace parapll::pll {
 
-graph::Distance QueryRows(std::span<const LabelEntry> a,
-                          std::span<const LabelEntry> b) {
-  graph::Distance best = graph::kInfiniteDistance;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].hub == b[j].hub) {
-      const graph::Distance sum = graph::SaturatingAdd(a[i].dist, b[j].dist);
-      best = std::min(best, sum);
-      ++i;
-      ++j;
-    } else if (a[i].hub < b[j].hub) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return best;
-}
-
 std::size_t MutableLabels::TotalEntries() const {
   std::size_t total = 0;
   for (const auto& row : rows_) {

@@ -9,7 +9,7 @@
 // of 16-byte LabelEntry records and terminates each row with a sentinel
 // entry whose hub is kInvalidVertex (and whose distance is infinite).
 // Real hubs are ranks in [0, n) and therefore always compare smaller than
-// the sentinel, so the hot sorted-merge loop (QuerySentinel) needs no
+// the sentinel, so the hot sorted-merge loop (MergeSentinelRows) needs no
 // per-iteration bounds checks: the two cursors meet at the sentinels and
 // the common-hub test terminates the loop. Row() spans exclude the
 // sentinel; only the raw RowBegin() pointers see it.
@@ -42,25 +42,67 @@ inline void PrefetchRow(const LabelEntry* row) {
 #endif
 }
 
-// QUERY(s, t, L) over two rank-sorted rows: min over common hubs of
-// dist(hub, s) + dist(hub, t); infinity when no hub is shared. The
-// general bounds-checked form; works on any sorted rows (MutableLabels,
-// DynamicIndex). Distance sums saturate at kInfiniteDistance.
-graph::Distance QueryRows(std::span<const LabelEntry> a,
-                          std::span<const LabelEntry> b);
+// Best common hub of two rows: the minimum of dist(hub, s) + dist(hub, t)
+// and the lowest hub achieving it. {kInfiniteDistance, kInvalidVertex}
+// when the rows share no hub (or every common sum saturates).
+struct HubDistance {
+  graph::Distance dist = graph::kInfiniteDistance;
+  graph::VertexId hub = graph::kInvalidVertex;
+};
 
-// Sentinel-terminated fast path: both pointers must address rows whose
-// final entry has hub == kInvalidVertex (LabelStore guarantees this).
-// One branch on hub order per iteration, no length tracking.
-inline graph::Distance QuerySentinel(const LabelEntry* a,
-                                     const LabelEntry* b) {
+// QUERY(s, t, L) over two bounded, hub-sorted rows of any entry type with
+// `hub` and `dist` fields (LabelEntry, PathLabelEntry). Distance sums
+// saturate at kInfiniteDistance; on equal sums the lowest hub wins.
+template <typename Entry>
+HubDistance MergeRows(std::span<const Entry> a, std::span<const Entry> b) {
+  HubDistance best;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].hub == b[j].hub) {
+      const graph::Distance sum = graph::SaturatingAdd(a[i].dist, b[j].dist);
+      if (sum < best.dist) {
+        best = {sum, a[i].hub};
+      }
+      ++i;
+      ++j;
+    } else if (a[i].hub < b[j].hub) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return best;
+}
+
+// Distance-only MergeRows over LabelEntry rows (MutableLabels,
+// DynamicIndex, any Row() span).
+inline graph::Distance QueryRows(std::span<const LabelEntry> a,
+                                 std::span<const LabelEntry> b) {
+  return MergeRows(a, b).dist;
+}
+
+// Where a sentinel merge stopped: the best sum and both final cursors.
+struct SentinelMerge {
+  graph::Distance dist = graph::kInfiniteDistance;
+  const LabelEntry* a_end = nullptr;
+  const LabelEntry* b_end = nullptr;
+};
+
+// Sentinel-terminated merge: both pointers must address rows whose final
+// entry has hub == kInvalidVertex (LabelStore guarantees this). One
+// branch on hub order per iteration, no length tracking. The loop only
+// stops when both cursors sit on their sentinels, so a_end and b_end
+// point at them: every real entry of both rows was consumed.
+inline SentinelMerge MergeSentinelRows(const LabelEntry* a,
+                                       const LabelEntry* b) {
   graph::Distance best = graph::kInfiniteDistance;
   for (;;) {
     const graph::VertexId ha = a->hub;
     const graph::VertexId hb = b->hub;
     if (ha == hb) {
       if (ha == graph::kInvalidVertex) {
-        return best;  // both cursors reached their sentinel
+        return {best, a, b};  // both cursors reached their sentinel
       }
       const graph::Distance sum = graph::SaturatingAdd(a->dist, b->dist);
       if (sum < best) {
@@ -76,36 +118,21 @@ inline graph::Distance QuerySentinel(const LabelEntry* a,
   }
 }
 
-// QuerySentinel with bookkeeping for the slow-query log: counts the label
-// entries the merge consumed (cursor advances over real hubs) into
-// `scanned`. Kept separate so the uninstrumented hot path stays
-// branch-minimal.
+// The query hot path: the distance of MergeSentinelRows.
+inline graph::Distance QuerySentinel(const LabelEntry* a,
+                                     const LabelEntry* b) {
+  return MergeSentinelRows(a, b).dist;
+}
+
+// QuerySentinel that also adds the entries the merge consumed,
+// |L(s)| + |L(t)| (sentinels excluded), to `scanned`.
 inline graph::Distance QuerySentinelCounted(const LabelEntry* a,
                                             const LabelEntry* b,
                                             std::uint64_t& scanned) {
-  graph::Distance best = graph::kInfiniteDistance;
-  for (;;) {
-    const graph::VertexId ha = a->hub;
-    const graph::VertexId hb = b->hub;
-    if (ha == hb) {
-      if (ha == graph::kInvalidVertex) {
-        return best;
-      }
-      const graph::Distance sum = graph::SaturatingAdd(a->dist, b->dist);
-      if (sum < best) {
-        best = sum;
-      }
-      ++a;
-      ++b;
-      scanned += 2;
-    } else if (ha < hb) {
-      ++a;
-      ++scanned;
-    } else {
-      ++b;
-      ++scanned;
-    }
-  }
+  const SentinelMerge merge = MergeSentinelRows(a, b);
+  scanned += static_cast<std::uint64_t>((merge.a_end - a) +
+                                        (merge.b_end - b));
+  return merge.dist;
 }
 
 // Growable per-vertex rows for serial indexing.

@@ -76,23 +76,8 @@ graph::Distance PathIndex::Query(graph::VertexId s, graph::VertexId t) const {
   if (s == t) {
     return 0;
   }
-  const auto& a = rows_[rank_of_[s]];
-  const auto& b = rows_[rank_of_[t]];
-  graph::Distance best = graph::kInfiniteDistance;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].hub == b[j].hub) {
-      best = std::min(best, a[i].dist + b[j].dist);
-      ++i;
-      ++j;
-    } else if (a[i].hub < b[j].hub) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return best;
+  return MergeRows<PathLabelEntry>(rows_[rank_of_[s]], rows_[rank_of_[t]])
+      .dist;
 }
 
 void PathIndex::WalkToHub(graph::VertexId v, graph::VertexId hub,
@@ -118,27 +103,8 @@ std::vector<graph::VertexId> PathIndex::ReconstructPath(
   const graph::VertexId rs = rank_of_[s];
   const graph::VertexId rt = rank_of_[t];
 
-  // Best common hub.
-  const auto& a = rows_[rs];
-  const auto& b = rows_[rt];
-  graph::Distance best = graph::kInfiniteDistance;
-  graph::VertexId best_hub = graph::kInvalidVertex;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].hub == b[j].hub) {
-      if (a[i].dist + b[j].dist < best) {
-        best = a[i].dist + b[j].dist;
-        best_hub = a[i].hub;
-      }
-      ++i;
-      ++j;
-    } else if (a[i].hub < b[j].hub) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
+  const graph::VertexId best_hub =
+      MergeRows<PathLabelEntry>(rows_[rs], rows_[rt]).hub;
   if (best_hub == graph::kInvalidVertex) {
     return {};  // disconnected
   }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "pll/label_store.hpp"
 #include "pll/ordering.hpp"
 #include "pll/pruned_dijkstra.hpp"
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -48,17 +47,11 @@ void QueryEngine::RegisterProbes() {
   if (!obs::MetricsEnabled()) {
     return;
   }
-  // Serving-side memory accounting: the resident label bytes this
-  // engine answers from, next to the live process RSS in telemetry.
-  // (Kept for compatibility with the build-time gauge name.)
-  obs::Registry::Global()
-      .GetGauge("query.engine.index_memory_bytes")
-      .Set(static_cast<double>(source_->MemoryBytes() +
-                               rank_of_.size() * sizeof(graph::VertexId)));
-  // Pull-gauges live as long as the engine: the probe registry collects
-  // them before every telemetry sample and /metrics scrape, so the
-  // serving store's footprint stays observable after the build's own
-  // probe unregisters (TakeFinalized).
+  // Serving-side memory accounting, next to the live process RSS in
+  // telemetry. Pull-gauges live as long as the engine: the probe
+  // registry collects them before every telemetry sample and /metrics
+  // scrape, so the serving store's footprint stays observable after the
+  // build's own probe unregisters (TakeFinalized).
   const pll::LabelSource* source = source_.get();
   memory_probe_ = std::make_unique<obs::ScopedProbe>(
       "store.memory_bytes",
@@ -93,49 +86,8 @@ void QueryEngine::RunShard(std::span<const QueryPair> pairs,
   }
 }
 
-void QueryEngine::RunShardLogged(std::span<const QueryPair> pairs,
-                                 std::span<graph::Distance> out,
-                                 std::size_t base,
-                                 std::span<const BatchTraceSlice> traces)
-    const {
-  const pll::LabelSource& store = *source_;
-  SlowQueryLog& log = *options_.slow_log;
-  // Slices are sorted and disjoint, and this shard walks the batch in
-  // order, so one forward cursor resolves every pair's trace.
-  std::size_t cursor = 0;
-  while (cursor < traces.size() && traces[cursor].end <= base) {
-    ++cursor;
-  }
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto [s, t] = pairs[i];
-    const std::size_t global = base + i;
-    while (cursor < traces.size() && traces[cursor].end <= global) {
-      ++cursor;
-    }
-    const std::string_view trace_id =
-        cursor < traces.size() && traces[cursor].begin <= global
-            ? traces[cursor].trace_id
-            : std::string_view{};
-    const std::uint64_t start_ns = obs::TraceNowNs();
-    std::uint64_t scanned = 0;
-    graph::Distance d;
-    if (s == t) {
-      d = graph::Distance{0};
-    } else {
-      const auto a = store.RowBegin(RankOf(s));
-      const auto b = store.RowBegin(RankOf(t));
-      pll::PrefetchRow(a);
-      pll::PrefetchRow(b);
-      d = pll::QuerySentinelCounted(a, b, scanned);
-    }
-    out[i] = d;
-    log.Observe(s, t, d, scanned, obs::TraceNowNs() - start_ns, trace_id);
-  }
-}
-
-std::uint64_t QueryEngine::QueryBatchTraced(
-    std::span<const QueryPair> pairs, std::span<graph::Distance> out,
-    std::span<const BatchTraceSlice> traces) {
+std::uint64_t QueryEngine::QueryBatch(std::span<const QueryPair> pairs,
+                                      std::span<graph::Distance> out) {
   if (pairs.size() != out.size()) {
     throw std::invalid_argument("QueryBatch spans differ in size");
   }
@@ -148,8 +100,9 @@ std::uint64_t QueryEngine::QueryBatchTraced(
   PARAPLL_SPAN("query.batch", "pairs", pairs.size());
 
   // One request context per batch: profiler samples taken inside any
-  // shard, slow-log records, and the latency exemplar below all carry
-  // this id, so "which batch was hot?" joins across all three.
+  // shard, the latency exemplars below, and the caller's own records
+  // (the daemon's request log) all carry this id, so "which batch was
+  // hot?" joins across them.
   const std::uint64_t context = obs::NextQueryBatchContext();
   obs::ScopedRequestContext scoped_context(context);
 
@@ -164,11 +117,8 @@ std::uint64_t QueryEngine::QueryBatchTraced(
           options_.min_pairs_per_shard);
   shards = std::max<std::size_t>(shards, 1);
 
-  // One pointer test selects the instrumented path; engines without a
-  // slow-query log keep the branch-minimal merge loop.
-  const bool logged = options_.slow_log != nullptr;
   if (shards == 1 || pool_ == nullptr) {
-    logged ? RunShardLogged(pairs, out, 0, traces) : RunShard(pairs, out);
+    RunShard(pairs, out);
   } else {
     const std::size_t chunk = (pairs.size() + shards - 1) / shards;
     for (std::size_t s = 0; s < shards; ++s) {
@@ -177,15 +127,14 @@ std::uint64_t QueryEngine::QueryBatchTraced(
       if (begin >= end) {
         break;
       }
-      pool_->Submit([this, metrics, logged, context, begin, traces,
+      pool_->Submit([this, metrics, context,
                      shard_pairs = pairs.subspan(begin, end - begin),
                      shard_out = out.subspan(begin, end - begin)](std::size_t) {
         // Worker threads inherit the batch's context so their profiler
-        // samples and slow-log records attribute to it.
+        // samples attribute to it.
         obs::ScopedRequestContext shard_context(context);
         const std::uint64_t shard_start = metrics ? obs::TraceNowNs() : 0;
-        logged ? RunShardLogged(shard_pairs, shard_out, begin, traces)
-               : RunShard(shard_pairs, shard_out);
+        RunShard(shard_pairs, shard_out);
         if (metrics) {
           static obs::Histogram& shard_ns =
               obs::Registry::Global().GetHistogram("query.batch.shard_ns");
@@ -211,11 +160,6 @@ std::uint64_t QueryEngine::QueryBatchTraced(
     sizes.Record(pairs.size());
   }
   return context;
-}
-
-void QueryEngine::QueryBatch(std::span<const QueryPair> pairs,
-                             std::span<graph::Distance> out) {
-  QueryBatchTraced(pairs, out, {});
 }
 
 std::vector<graph::Distance> QueryEngine::QueryBatch(

@@ -89,8 +89,6 @@ QueryServer::QueryServer(pll::Index index, ServeOptions options)
 QueryServer::QueryServer(pll::ServableIndex servable, ServeOptions options)
     : options_(std::move(options)), request_log_(options_.request_log) {
   engine_options_.threads = std::max<std::size_t>(options_.engine_threads, 1);
-  engine_options_.min_pairs_per_shard = options_.min_pairs_per_shard;
-  engine_options_.slow_log = options_.slow_log;
   util::MutexLock lock(mutex_);
   served_ = std::make_shared<Served>(std::move(servable), engine_options_);
   served_->published_ns = obs::TraceNowNs();
@@ -442,27 +440,19 @@ void QueryServer::DrainPending(std::vector<PendingRequest>& pending) {
     Metrics().queue_depth.Set(static_cast<double>(total));
   }
 
-  // Concatenate the batch and remember which slice each request owns, so
-  // the engine can attribute per-shard slow-query records to the wire
-  // trace id. The string_views point into `pending`, which outlives the
-  // batch call.
+  // Concatenate the valid requests into one batch, in pending order.
   std::vector<query::QueryPair> all;
   all.reserve(total);
-  std::vector<query::BatchTraceSlice> traces;
-  traces.reserve(pending.size());
   for (std::size_t i = 0; i < pending.size(); ++i) {
     if (valid[i]) {
-      const std::size_t begin = all.size();
       all.insert(all.end(), pending[i].pairs.begin(), pending[i].pairs.end());
-      traces.push_back(
-          query::BatchTraceSlice{begin, all.size(), pending[i].trace_id});
     }
   }
   std::vector<graph::Distance> out(all.size());
   const std::uint64_t batch_start_ns = obs::TraceNowNs();
   std::uint64_t batch_context = 0;
   if (!all.empty()) {
-    batch_context = served->engine.QueryBatchTraced(all, out, traces);
+    batch_context = served->engine.QueryBatch(all, out);
   }
 
   const std::uint64_t done_ns = obs::TraceNowNs();

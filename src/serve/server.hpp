@@ -26,11 +26,10 @@
 //
 //   * Observability: every DISTANCE_QUERY carries a wire-level trace id
 //     (client-supplied, or server-minted "srv-N") that is echoed on its
-//     response — OK and SHED alike — threaded into the engine's
-//     slow-query log, and recorded with queue wait / batch id / latency
-//     in a wide-event RequestLog exposed at /debug/requests. The INFO
-//     frame and /healthz report live saturation (queue depth, cumulative
-//     sheds, served-snapshot age).
+//     response — OK and SHED alike — and recorded with queue wait /
+//     batch id / latency in a wide-event RequestLog exposed at
+//     /debug/requests. The INFO frame and /healthz report live
+//     saturation (queue depth, cumulative sheds, served-snapshot age).
 //
 // Metrics land under "server.*" when obs metrics are enabled (schema in
 // EXPERIMENTS.md); Stats() exposes the same counts unconditionally for
@@ -59,7 +58,6 @@ struct ServeOptions {
   std::uint16_t port = 0;
   // Worker threads inside the QueryEngine answering coalesced batches.
   std::size_t engine_threads = 1;
-  std::size_t min_pairs_per_shard = 256;
   // A connection silent this long is closed (server.idle_closed).
   int idle_timeout_ms = 30'000;
   std::size_t max_connections = 64;
@@ -77,10 +75,6 @@ struct ServeOptions {
   // snapshot — the RCU flip gives the unmap-after-drain guarantee for
   // free.
   pll::StoreBackend backend = pll::StoreBackend::kHeap;
-  // When non-null, every served pair is timed into this slow-query log
-  // (with the request's wire-level trace id attached). Must outlive the
-  // server; hot-swapped engines share it.
-  query::SlowQueryLog* slow_log = nullptr;
   // Wide-event request log configuration. The in-memory ring (and the
   // /debug/requests endpoint backed by it) is always on; `path` adds the
   // on-disk JSONL stream.

@@ -7,7 +7,7 @@
 //
 //   util::JsonWriter w(out);
 //   w.BeginObject();
-//   w.Key("name").Value("query.latency_ns");
+//   w.Key("name").Value("query.batch.latency_ns");
 //   w.Key("count").Value(std::uint64_t{42});
 //   w.Key("buckets").BeginArray().Value(1).Value(2).EndArray();
 //   w.EndObject();

@@ -21,7 +21,14 @@ pll::Index MakeIndex() {
 pll::Index MakeManifestedIndex() {
   const graph::Graph g =
       graph::ErdosRenyi(24, 60, {graph::WeightModel::kUniform, 10}, 6);
-  return build::Run(g, {}).artifact.index;
+  pll::Index index = build::Run(g, {}).artifact.index;
+  // Pin the two clock-derived fields so every export writes the same
+  // bytes and the committed seeds only change with the format.
+  pll::BuildManifest manifest = index.Manifest();
+  manifest.wall_seconds = 0.5;
+  manifest.created_unix = 1'700'000'000;
+  index.SetManifest(std::move(manifest));
+  return index;
 }
 
 pll::Index MakeZeroVertexIndex() {

@@ -24,7 +24,8 @@ namespace parapll::corpus {
 pll::Index MakeIndex();
 
 // Pipeline-built index (ErdosRenyi 24/60, seed 6) whose manifest carries
-// real provenance — the base for manifest and v2-container corpora.
+// real provenance — the base for manifest and v2-container corpora. Its
+// wall_seconds and created_unix are pinned, so the bytes are reproducible.
 pll::Index MakeManifestedIndex();
 
 // The degenerate shapes: no vertices at all, and three vertices whose

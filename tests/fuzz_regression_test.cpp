@@ -79,6 +79,23 @@ TEST(FuzzRegression, GeneratedSeedsReplayClean) {
   }
 }
 
+// The committed seeds are exactly what export_corpus writes today: a
+// builder that drifts (or stamps a clock) shows up here, not as a
+// silently rewritten corpus on the next export.
+TEST(FuzzRegression, CommittedSeedsMatchGeneratedBytes) {
+  for (const corpus::SeedTarget& target : corpus::AllSeedTargets()) {
+    SCOPED_TRACE(target.target);
+    for (const corpus::SeedCase& seed : target.cases) {
+      SCOPED_TRACE(seed.name);
+      const fs::path path = kFuzzDir / "corpus" / target.target / seed.name;
+      ASSERT_TRUE(fs::is_regular_file(path))
+          << path << " missing — run fuzz/export_corpus and commit it";
+      EXPECT_TRUE(ReadFileBytes(path) == seed.bytes)
+          << path << " differs from its generated seed";
+    }
+  }
+}
+
 TEST(FuzzRegression, CommittedCorpusReplaysClean) {
   const fs::path root = kFuzzDir / "corpus";
   ASSERT_TRUE(fs::is_directory(root))

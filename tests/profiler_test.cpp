@@ -148,15 +148,14 @@ TEST(ProfilerTest, CapturesQueryBatchWithBatchAttribution) {
         static_cast<graph::VertexId>(rng.Below(index.NumVertices())),
         static_cast<graph::VertexId>(rng.Below(index.NumVertices())));
   }
-  // A never-matching slow-query log selects the timed merge path, whose
-  // per-query clock reads give sanitizers (which defer async signals to
-  // library-call boundaries) delivery points *inside* the batch context;
-  // the plain merge loop has none, so under TSan every deferred SIGPROF
-  // would otherwise land after the shard context is already gone.
-  std::ostringstream slow_sink;
-  query::SlowQueryLog slow_log(
-      slow_sink, {.threshold_ns = ~0ULL, .sample_every = 0});
-  query::QueryEngine engine(index, {.threads = 2, .slow_log = &slow_log});
+  query::QueryEngine engine(index, {.threads = 2});
+  // With metrics on, each shard times itself (query.batch.shard_ns)
+  // before its worker leaves the batch context. Sanitizers defer async
+  // signals to library-call boundaries and the merge loop has none, so
+  // under TSan that clock read is where a SIGPROF taken mid-shard is
+  // delivered — still inside the batch context, not after it.
+  const bool metrics_were_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
   // Preallocated output: keeps the loop free of alloc/free outside the
   // batch context (same deferred-delivery skew, at malloc/free).
   std::vector<graph::Distance> out(pairs.size());
@@ -173,6 +172,7 @@ TEST(ProfilerTest, CapturesQueryBatchWithBatchAttribution) {
     engine.QueryBatch(pairs, out);
   }
   const ProfileReport report = Profiler::Global().Stop();
+  SetMetricsEnabled(metrics_were_enabled);
 
   ASSERT_GT(report.samples, 0u);
   ASSERT_FALSE(report.stacks.empty());

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,6 +20,8 @@
 #include "build/artifact.hpp"
 #include "build/pipeline.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/mmap_store.hpp"
 #include "pll/serial_pll.hpp"
@@ -232,8 +233,7 @@ TEST(QueryServerTest, ServedAnswersAreBitIdenticalToQueryBatch) {
     const std::vector<graph::Distance> want = direct.QueryBatch(pairs);
 
     ServeOptions options;
-    options.engine_threads = 2;
-    options.min_pairs_per_shard = 16;
+    options.engine_threads = 2;  // the 462-pair request spans 2 shards
     QueryServer server(index, options);
     server.Start();
     ServeClient client;
@@ -275,17 +275,15 @@ TEST(QueryServerTest, InfoReportsServedIndex) {
   server.Stop();
 }
 
-// The tracing tentpole, end to end: a client-supplied trace id must come
-// back on the response, land in the wide-event request log with the
-// coalesced batch's context id, and reach the engine's slow-query log —
-// one id joining all three sinks for the same request.
-TEST(QueryServerTest, ClientTraceIdJoinsResponseRequestLogAndSlowLog) {
+// Tracing end to end: a client-supplied trace id must come back on the
+// response and land in the wide-event request log together with the
+// coalesced batch's obs request-context id — the key profiler samples
+// and histogram exemplars carry — so one id joins all three sinks.
+TEST(QueryServerTest, ClientTraceIdJoinsResponseRequestLogAndBatchContext) {
   const Graph g = graph::ErdosRenyi(60, 150, {WeightModel::kUniform, 9}, 3);
-  std::ostringstream slow_out;
-  query::SlowQueryLog slow_log(slow_out, {.threshold_ns = 0});
-
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);  // for the latency exemplars
   ServeOptions options;
-  options.slow_log = &slow_log;
   options.request_log.sample_every = 1;  // keep every OK request
   QueryServer server(BuildTestIndex(g), options);
   server.Start();
@@ -296,22 +294,48 @@ TEST(QueryServerTest, ClientTraceIdJoinsResponseRequestLogAndSlowLog) {
   const Response response = client.Distance(pairs, "cli-abc.1");
   ASSERT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_EQ(response.trace_id, "cli-abc.1");
+  const Response second = client.Distance(pairs, "cli-abc.2");
+  ASSERT_EQ(second.status, ResponseStatus::kOk);
 
   const std::vector<RequestRecord> ring =
       server.RequestLogRef().RingSnapshot();
-  ASSERT_EQ(ring.size(), 1u);
+  ASSERT_EQ(ring.size(), 2u);
   EXPECT_EQ(ring[0].trace_id, "cli-abc.1");
   EXPECT_STREQ(ring[0].status, "ok");
   EXPECT_EQ(ring[0].pairs, 2u);
-  EXPECT_NE(ring[0].batch_context, 0u);
   EXPECT_GE(ring[0].latency_ns, ring[0].batch_ns);
   EXPECT_NE(ring[0].connection, 0u);
+  // The record's batch is a query-batch request context, and each
+  // sequential request rode its own batch.
+  ASSERT_NE(ring[0].batch_context, 0u);
+  EXPECT_EQ(obs::ContextKindOf(ring[0].batch_context),
+            obs::ContextKind::kQueryBatch);
+  EXPECT_EQ(ring[1].trace_id, "cli-abc.2");
+  EXPECT_NE(ring[1].batch_context, ring[0].batch_context);
+  EXPECT_EQ(obs::ContextKindOf(ring[1].batch_context),
+            obs::ContextKind::kQueryBatch);
 
-  slow_log.Flush();
-  EXPECT_NE(slow_out.str().find("\"trace_id\":\"cli-abc.1\""),
+  // The newest batch is the last sample in its latency bucket, so that
+  // bucket's exemplar names the second request's batch.
+  const obs::HistogramSnapshot latency =
+      obs::Registry::Global().GetHistogram("query.batch.latency_ns").Snapshot();
+  bool exemplar_joined = false;
+  for (const obs::HistogramExemplar& exemplar : latency.exemplars) {
+    exemplar_joined |=
+        exemplar.valid && exemplar.request_id == ring[1].batch_context;
+  }
+  EXPECT_TRUE(exemplar_joined);
+
+  // The JSON form names the batch the way profiler contexts do.
+  const std::string json = server.RequestLogRef().RingJson();
+  EXPECT_NE(json.find("\"trace_id\":\"cli-abc.1\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"batch\":\"" +
+                      obs::ContextIdToString(ring[0].batch_context) + "\""),
             std::string::npos)
-      << slow_out.str();
+      << json;
   server.Stop();
+  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 // A client that sends no trace block gets a server-minted "srv-N" id —
