@@ -3,7 +3,6 @@
 // sampled path-centrality ψ estimate the paper cites as the ideal
 // criterion. Reports indexing time, label size, and pruning work.
 #include "common.hpp"
-#include "pll/serial_pll.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -34,17 +33,16 @@ int Run(int argc, char** argv) {
     for (const auto policy :
          {pll::OrderingPolicy::kDegree, pll::OrderingPolicy::kRandom,
           pll::OrderingPolicy::kApproxBetweenness}) {
-      pll::SerialBuildOptions options;
-      options.ordering = policy;
-      options.seed = 42;
       util::WallTimer timer;
-      const auto result = pll::BuildSerial(d.graph, options);
+      const build::BuildOutcome result =
+          build::Run(d.graph, {.ordering = policy, .seed = 42});
+      const pll::Index& index = result.artifact.index;
       table.Row()
           .Cell(d.spec.name)
           .Cell(ToString(policy))
           .Cell(timer.Seconds(), 3)
-          .Cell(result.store.AvgLabelSize(), 1)
-          .Cell(static_cast<std::uint64_t>(result.store.TotalEntries()))
+          .Cell(index.AvgLabelSize(), 1)
+          .Cell(static_cast<std::uint64_t>(index.TotalEntries()))
           .Cell(static_cast<std::uint64_t>(result.totals.settled))
           .Cell(100.0 * static_cast<double>(result.totals.pruned) /
                     static_cast<double>(result.totals.settled),

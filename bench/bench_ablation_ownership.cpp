@@ -7,7 +7,6 @@
 // first node of top hubs, inflating labels and skewing per-node load.
 #include "common.hpp"
 #include "util/table.hpp"
-#include "vtime/cost_model.hpp"
 
 namespace parapll::bench {
 namespace {
@@ -37,17 +36,16 @@ int Run(int argc, char** argv) {
   util::Table table({"Dataset", "ownership", "IT(s)", "LN", "makespan units",
                      "max/min node compute"});
   for (const auto& d : datasets) {
-    const double seconds_per_unit =
-        vtime::CalibrateSecondsPerUnit(d.graph, vtime::CostModel{});
+    const double seconds_per_unit = SecondsPerUnit(build::Run(d.graph, {}));
     for (const auto ownership :
          {cluster::OwnershipPolicy::kRoundRobin,
           cluster::OwnershipPolicy::kBlock,
           cluster::OwnershipPolicy::kRandom}) {
-      cluster::ClusterBuildOptions options;
-      options.nodes = nodes;
-      options.sync_count = sync;
-      options.ownership = ownership;
-      const auto result = BuildCluster(d.graph, options);
+      const build::BuildOutcome result =
+          build::Run(d.graph, {.mode = build::BuildMode::kCluster,
+                               .nodes = nodes,
+                               .sync_count = sync,
+                               .ownership = ownership});
       const double max_compute =
           *std::max_element(result.node_compute_units.begin(),
                             result.node_compute_units.end());
@@ -58,7 +56,7 @@ int Run(int argc, char** argv) {
           .Cell(d.spec.name)
           .Cell(cluster::ToString(ownership))
           .Cell(result.makespan_units * seconds_per_unit, 3)
-          .Cell(result.store.AvgLabelSize(), 1)
+          .Cell(result.artifact.index.AvgLabelSize(), 1)
           .Cell(result.makespan_units, 0)
           .Cell(min_compute > 0 ? max_compute / min_compute : 0.0, 2);
     }

@@ -6,19 +6,19 @@
 // about a hundred invocations, and the parallel traces track the serial
 // one (no apparent pruning-efficiency gap).
 #include "common.hpp"
-#include "pll/serial_pll.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "vtime/sim_indexer.hpp"
 
 namespace parapll::bench {
 namespace {
 
-util::CumulativeSeries TraceToSeries(
-    const std::vector<std::pair<graph::VertexId, std::size_t>>& trace) {
+// Labels added per root, in the build's completion order.
+util::CumulativeSeries TraceSeries(const graph::Graph& g,
+                                   build::BuildPlan plan) {
+  plan.record_trace = true;
   util::CumulativeSeries series;
-  for (const auto& [root, labels_added] : trace) {
-    series.Append(labels_added);
+  for (const auto& [root, stats] : build::Run(g, plan).trace) {
+    series.Append(stats.labels_added);
   }
   return series;
 }
@@ -49,25 +49,15 @@ int Run(int argc, char** argv) {
   for (const auto& d : datasets) {
     PrintDatasetHeader(d);
 
-    pll::SerialBuildOptions serial_options;
-    serial_options.record_trace = true;
-    const auto serial = pll::BuildSerial(d.graph, serial_options);
-    util::CumulativeSeries serial_series;
-    for (const auto& stats : serial.trace) {
-      serial_series.Append(stats.labels_added);
-    }
-
-    vtime::SimBuildOptions static_options;
-    static_options.workers = workers;
-    static_options.policy = parallel::AssignmentPolicy::kStatic;
-    static_options.record_trace = true;
-    const auto static_series =
-        TraceToSeries(BuildSimulated(d.graph, static_options).trace);
-
-    vtime::SimBuildOptions dynamic_options = static_options;
-    dynamic_options.policy = parallel::AssignmentPolicy::kDynamic;
-    const auto dynamic_series =
-        TraceToSeries(BuildSimulated(d.graph, dynamic_options).trace);
+    const auto serial_series = TraceSeries(d.graph, {});
+    const auto static_series = TraceSeries(
+        d.graph, {.mode = build::BuildMode::kSimulated,
+                  .threads = workers,
+                  .policy = parallel::AssignmentPolicy::kStatic});
+    const auto dynamic_series = TraceSeries(
+        d.graph, {.mode = build::BuildMode::kSimulated,
+                  .threads = workers,
+                  .policy = parallel::AssignmentPolicy::kDynamic});
 
     util::Table table({"x-th invocation", "PLL CDF", "static CDF",
                        "dynamic CDF"});

@@ -11,7 +11,6 @@
 // makes the tradeoff (paper Fig. 4) directly visible either way.
 #include "common.hpp"
 #include "util/table.hpp"
-#include "vtime/cost_model.hpp"
 
 namespace parapll::bench {
 namespace {
@@ -42,21 +41,20 @@ int Run(int argc, char** argv) {
 
   for (const auto& d : datasets) {
     PrintDatasetHeader(d);
-    const double seconds_per_unit =
-        vtime::CalibrateSecondsPerUnit(d.graph, vtime::CostModel{});
+    const double seconds_per_unit = SecondsPerUnit(build::Run(d.graph, {}));
 
     util::Table table({"c (syncs)", "IT(s)", "LN", "comm(s)", "compute(s)",
                        "comm %", "entries exchanged", "fabric bytes"});
     for (const std::size_t c : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
-      cluster::ClusterBuildOptions options;
-      options.nodes = nodes;
-      options.workers_per_node = workers;
-      options.sync_count = c;
-      const auto result = BuildCluster(d.graph, options);
+      const build::BuildOutcome result =
+          build::Run(d.graph, {.mode = build::BuildMode::kCluster,
+                               .threads = workers,
+                               .nodes = nodes,
+                               .sync_count = c});
       table.Row()
           .Cell(static_cast<std::uint64_t>(c))
           .Cell(result.makespan_units * seconds_per_unit, 3)
-          .Cell(result.store.AvgLabelSize(), 1)
+          .Cell(result.artifact.index.AvgLabelSize(), 1)
           .Cell(result.comm_units * seconds_per_unit, 3)
           .Cell(result.compute_units * seconds_per_unit, 3)
           .Cell(100.0 * result.comm_units / result.makespan_units, 1)

@@ -7,7 +7,6 @@
 // the index sizes look like side by side.
 #include "common.hpp"
 #include "baseline/landmark_estimator.hpp"
-#include "pll/serial_pll.hpp"
 #include "util/table.hpp"
 
 namespace parapll::bench {
@@ -36,11 +35,11 @@ int Run(int argc, char** argv) {
   util::Table table({"Dataset", "method", "entries", "exact %",
                      "mean rel err", "max rel err"});
   for (const auto& d : datasets) {
-    const auto serial = pll::BuildSerial(d.graph, {});
+    const build::BuildOutcome serial = build::Run(d.graph, {});
     table.Row()
         .Cell(d.spec.name)
         .Cell("PLL (exact)")
-        .Cell(static_cast<std::uint64_t>(serial.store.TotalEntries()))
+        .Cell(static_cast<std::uint64_t>(serial.artifact.index.TotalEntries()))
         .Cell(100.0, 1)
         .Cell(0.0, 4)
         .Cell(0.0, 4);

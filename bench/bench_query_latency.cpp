@@ -7,7 +7,7 @@
 
 #include "baseline/bidirectional_dijkstra.hpp"
 #include "baseline/dijkstra.hpp"
-#include "core/builder.hpp"
+#include "build/pipeline.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/knn_engine.hpp"
 #include "graph/datasets.hpp"
@@ -26,7 +26,7 @@ const Workload& SharedWorkload() {
   static const Workload workload = [] {
     Workload w;
     w.graph = graph::MakeDatasetByName("Epinions", 0.02, 1);
-    w.index = IndexBuilder().Build(w.graph);
+    w.index = build::Run(w.graph, {}).artifact.index;
     util::Rng rng(7);
     for (int i = 0; i < 1024; ++i) {
       w.pairs.emplace_back(
@@ -82,7 +82,7 @@ BENCHMARK(BM_KnnQuery)->Arg(10)->Arg(100);
 void BM_IndexConstructionSerial(benchmark::State& state) {
   const auto g = graph::MakeDatasetByName("Wiki-Vote", 0.02, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(IndexBuilder().Build(g));
+    benchmark::DoNotOptimize(build::Run(g, {}));
   }
 }
 BENCHMARK(BM_IndexConstructionSerial)->Unit(benchmark::kMillisecond);

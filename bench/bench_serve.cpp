@@ -34,11 +34,12 @@ int Run(util::ArgParser& args) {
   const graph::Graph g = graph::ErdosRenyi(
       n, n * deg, {graph::WeightModel::kUniform, 100}, seed);
 
-  IndexBuilder builder;
-  builder.Mode(BuildMode::kParallel)
-      .Threads(static_cast<std::size_t>(args.GetInt("threads")))
-      .Seed(seed);
-  pll::Index index = builder.Build(g);
+  const auto threads = static_cast<std::size_t>(args.GetInt("threads"));
+  pll::Index index =
+      build::Run(g, {.mode = build::BuildMode::kParallel,
+                     .threads = threads,
+                     .seed = seed})
+          .artifact.index;
   std::printf("index: n=%u, %zu entries, avg label %.1f\n",
               index.NumVertices(), index.TotalEntries(),
               index.AvgLabelSize());
@@ -72,8 +73,7 @@ int Run(util::ArgParser& args) {
   };
 
   serve::ServeOptions serve_options;
-  serve_options.engine_threads =
-      static_cast<std::size_t>(args.GetInt("threads"));
+  serve_options.engine_threads = threads;
 
   {
     serve::QueryServer server(index, serve_options);

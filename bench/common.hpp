@@ -160,4 +160,12 @@ inline std::vector<int> PaperThreadCounts() { return {1, 2, 4, 6, 8, 10, 12}; }
 // Node counts of paper Table 5.
 inline std::vector<int> PaperNodeCounts() { return {1, 2, 3, 4, 5, 6}; }
 
+// Host seconds per CostModel unit, from one serial build: its wall time
+// over its total units. Multiplying a virtual makespan by this expresses
+// a simulated schedule in calibrated seconds.
+inline double SecondsPerUnit(const build::BuildOutcome& serial) {
+  return serial.total_units > 0.0 ? serial.wall_seconds / serial.total_units
+                                  : 0.0;
+}
+
 }  // namespace parapll::bench

@@ -10,10 +10,8 @@
 #pragma once
 
 #include "common.hpp"
-#include "pll/serial_pll.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
-#include "vtime/sim_indexer.hpp"
 
 namespace parapll::bench {
 
@@ -51,25 +49,23 @@ inline int RunTable34(parallel::AssignmentPolicy policy, const char* table_id,
 
     // Serial PLL baseline (real wall time) — the "PLL" column.
     util::WallTimer serial_timer;
-    const auto serial = pll::BuildSerial(d.graph, {});
+    const build::BuildOutcome serial = build::Run(d.graph, {});
     const double serial_seconds = serial_timer.Seconds();
-    const double serial_units = vtime::CostModel{}.Units(serial.totals);
-    const double seconds_per_unit =
-        serial_units > 0 ? serial_seconds / serial_units : 0.0;
+    const double seconds_per_unit = SecondsPerUnit(serial);
 
     std::vector<double> makespans;
     std::vector<double> label_sizes;
     for (const int p : threads) {
-      vtime::SimBuildOptions options;
-      options.workers = static_cast<std::size_t>(p);
-      options.policy = policy;
-      const auto result = BuildSimulated(d.graph, options);
+      const build::BuildOutcome result =
+          build::Run(d.graph, {.mode = build::BuildMode::kSimulated,
+                               .threads = static_cast<std::size_t>(p),
+                               .policy = policy});
+      const double label_size = result.artifact.index.AvgLabelSize();
       makespans.push_back(result.makespan_units);
-      label_sizes.push_back(result.store.AvgLabelSize());
+      label_sizes.push_back(label_size);
       std::printf("  threads=%-2d IT=%8.3fs  SP=%5.2f  LN=%.1f\n", p,
                   result.makespan_units * seconds_per_unit,
-                  makespans.front() / result.makespan_units,
-                  result.store.AvgLabelSize());
+                  makespans.front() / result.makespan_units, label_size);
     }
 
     table.Row()

@@ -173,8 +173,7 @@ pll::LabelStore RunSimulated(const BuildPlan& plan,
                                    now);
       },
       [&](std::size_t /*worker*/, graph::VertexId root,
-          const pll::PruneStats& stats, double units) {
-        outcome.total_units += units;
+          const pll::PruneStats& stats) {
         outcome.totals += stats;
         ++outcome.roots_finished;
         if (plan.record_trace) {
@@ -267,7 +266,7 @@ pll::LabelStore RunCluster(const BuildPlan& plan, const BuildContext& context,
                 pending);
           },
           [&](std::size_t /*worker*/, graph::VertexId /*root*/,
-              const pll::PruneStats& stats, double /*units*/) {
+              const pll::PruneStats& stats) {
             node.totals += stats;
           });
       const double epoch_end = *std::max_element(wclock.begin(), wclock.end());
@@ -349,7 +348,6 @@ pll::LabelStore RunCluster(const BuildPlan& plan, const BuildContext& context,
   }
   outcome.comm_units = outcomes[0].comm_units;
   outcome.compute_units = outcome.makespan_units - outcome.comm_units;
-  outcome.total_units = plan.cost.Units(outcome.totals);
   outcome.bytes_exchanged = fabric.TotalBytesSent();
   outcome.sync_rounds = boundaries.size() - 1;
   outcome.entries_exchanged = entries_exchanged_total;
@@ -388,6 +386,16 @@ BuildOutcome Run(const graph::Graph& g, const BuildPlan& plan) {
       store = RunCluster(plan, context, outcome);
       manifest.roots_completed = manifest.num_vertices;
       break;
+  }
+  // CostModel::Units charges task_overhead once per call, so the sum over
+  // roots_finished roots is one whole-run Units() plus the other roots'
+  // overheads.
+  outcome.total_units =
+      plan.cost.Units(outcome.totals) +
+      (static_cast<double>(outcome.roots_finished) - 1.0) *
+          plan.cost.task_overhead;
+  if (plan.mode == BuildMode::kSerial) {
+    outcome.makespan_units = outcome.total_units;
   }
   // MakeManifest seeded totals/wall with the resumed prefix's share; add
   // this run's on top ("work expended": re-run roots count twice).

@@ -1,11 +1,13 @@
 // The unified build pipeline: BuildPlan in, IndexArtifact out.
 //
-// Run() resolves the plan once (ordering + rank graph, or checkpoint
-// recovery on resume), routes every mode through the shared root-loop
-// kernel in root_loop.hpp, and stamps the result with a provenance
-// manifest. The legacy per-mode entry points (pll::BuildSerial,
-// parallel::BuildParallel, vtime::BuildSimulated, cluster::BuildCluster)
-// are thin wrappers over this function — see build/compat.cpp.
+// Run() is the only way to build an index. It resolves the plan once
+// (ordering + rank graph, or checkpoint recovery on resume), routes every
+// mode through the shared root-loop kernel in root_loop.hpp, and stamps
+// the result with a provenance manifest:
+//
+//   const build::BuildOutcome outcome =
+//       build::Run(g, {.mode = build::BuildMode::kParallel, .threads = 8});
+//   const pll::Index& index = outcome.artifact.index;
 #pragma once
 
 #include <cstdint>
@@ -37,10 +39,14 @@ struct BuildOutcome {
   // kSerial / kParallel: per-worker load-balance reports.
   std::vector<parallel::ThreadReport> reports;
 
-  // kSimulated / kCluster: virtual-time accounting.
+  // Virtual-time accounting. total_units is the sum of the per-root
+  // CostModel units of this run's work, for every mode: the serial
+  // equivalent of the build. makespan_units is the virtual schedule's
+  // length (kSimulated / kCluster) and equals total_units for kSerial;
+  // kParallel has no virtual schedule and leaves it 0.
   double makespan_units = 0.0;
   double total_units = 0.0;
-  std::vector<double> worker_units;
+  std::vector<double> worker_units;  // kSimulated: final clock per worker
 
   // kCluster only.
   double comm_units = 0.0;

@@ -174,6 +174,7 @@ RootLoopOutcome DrainRoots(const graph::Graph& rank_graph, Labels& labels,
         // other data is published through them.
         const auto done =
             roots_done.fetch_add(1, std::memory_order_relaxed) + 1;
+        // relaxed: the same kind of tally as roots_done.
         const auto added = labels_added.fetch_add(stats.labels_added,
                                                   std::memory_order_relaxed) +
                            stats.labels_added;
@@ -245,7 +246,7 @@ RootLoopOutcome DrainRoots(const graph::Graph& rank_graph, Labels& labels,
 // task of the worker with the minimum clock (first minimum wins — the
 // tie-break every simulated schedule's bit-reproducibility rests on).
 // `make_view(worker, now)` builds the Labels adapter for one task;
-// `on_finish(worker, root, stats, units)` runs after the task's clock
+// `on_finish(worker, root, stats)` runs after the task's clock
 // advance. `clocks` carries worker clocks in and out, so cluster epochs
 // can chain the loop across syncs.
 template <typename MakeView, typename OnFinish>
@@ -273,9 +274,8 @@ void DrainVirtualRoots(const graph::Graph& rank_graph,
     auto view = make_view(chosen, clocks[chosen]);
     const pll::PruneStats stats =
         pll::PrunedDijkstra(rank_graph, root, view, scratch);
-    const double units = cost.Units(stats);
-    clocks[chosen] += units;
-    on_finish(chosen, root, stats, units);
+    clocks[chosen] += cost.Units(stats);
+    on_finish(chosen, root, stats);
   }
 }
 

@@ -9,22 +9,23 @@
 // AllGather and merge.
 //
 // Inside a node, the intra-node level runs as a deterministic
-// virtual-time simulation of `workers_per_node` threads (static or
+// virtual-time simulation of BuildPlan::threads workers (static or
 // dynamic policy), so the whole cluster build is bit-reproducible: labels
 // only cross nodes at barrier-aligned syncs. Time is reported in virtual
 // units: compute units from the CostModel, communication units from the
 // l·q·log q broadcast model of paper §5.4.3.
+//
+// The build itself is build::Run with BuildMode::kCluster
+// (build/pipeline.hpp); this header holds the cost model and the root
+// partitioning it uses.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "graph/graph.hpp"
-#include "parapll/options.hpp"
-#include "pll/index.hpp"
-#include "pll/ordering.hpp"
-#include "pll/pruned_dijkstra.hpp"
-#include "vtime/cost_model.hpp"
+#include "graph/types.hpp"
 
 namespace parapll::cluster {
 
@@ -51,39 +52,6 @@ enum class OwnershipPolicy {
 };
 
 std::string ToString(OwnershipPolicy policy);
-
-struct ClusterBuildOptions {
-  std::size_t nodes = 1;             // q
-  std::size_t workers_per_node = 1;  // p (virtual-time simulated)
-  parallel::AssignmentPolicy intra_policy =
-      parallel::AssignmentPolicy::kDynamic;
-  pll::OrderingPolicy ordering = pll::OrderingPolicy::kDegree;
-  std::size_t sync_count = 1;        // c: number of synchronizations
-  OwnershipPolicy ownership = OwnershipPolicy::kRoundRobin;
-  vtime::CostModel cost;
-  CommModel comm;
-  std::uint64_t seed = 0;
-};
-
-struct ClusterBuildResult {
-  pll::LabelStore store;               // merged, rank space
-  std::vector<graph::VertexId> order;  // rank -> original id
-  double makespan_units = 0.0;         // total indexing time (virtual)
-  double comm_units = 0.0;             // communication share of makespan
-  double compute_units = 0.0;          // makespan - comm
-  std::vector<double> node_compute_units;  // per-node busy compute
-  std::uint64_t bytes_exchanged = 0;   // real bytes through the fabric
-  std::size_t sync_rounds = 0;
-  std::size_t entries_exchanged = 0;   // label entries shipped in syncs
-  pll::PruneStats totals;
-
-  [[nodiscard]] pll::Index MakeIndex() const {
-    return pll::Index(store, order);
-  }
-};
-
-ClusterBuildResult BuildCluster(const graph::Graph& g,
-                                const ClusterBuildOptions& options);
 
 // Epoch boundaries for n roots and c syncs: c blocks of ⌊n/c⌋ roots (the
 // last block absorbs the remainder). Returned as c+1 offsets.

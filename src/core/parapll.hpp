@@ -3,11 +3,10 @@
 //   #include "core/parapll.hpp"
 //
 //   auto g = parapll::graph::BarabasiAlbert(...);
-//   auto index = parapll::IndexBuilder()
-//                    .Mode(parapll::BuildMode::kParallel)
-//                    .Threads(8)
-//                    .Build(g);
-//   auto d = index.Query(s, t);
+//   namespace build = parapll::build;
+//   const build::BuildOutcome outcome =
+//       build::Run(g, {.mode = build::BuildMode::kParallel, .threads = 8});
+//   auto d = outcome.artifact.index.Query(s, t);
 #pragma once
 
 #include "baseline/bfs.hpp"
@@ -16,9 +15,9 @@
 #include "baseline/floyd_warshall.hpp"
 #include "baseline/landmark_estimator.hpp"
 #include "baseline/oracle.hpp"
+#include "build/pipeline.hpp"
 #include "cluster/cluster_indexer.hpp"
 #include "cluster/comm.hpp"
-#include "core/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/datasets.hpp"
 #include "graph/degree.hpp"
@@ -35,10 +34,9 @@
 #include "pll/index.hpp"
 #include "pll/knn_engine.hpp"
 #include "pll/path_index.hpp"
-#include "pll/serial_pll.hpp"
 #include "pll/verify.hpp"
 #include "query/query_engine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
-#include "vtime/sim_indexer.hpp"
+#include "vtime/cost_model.hpp"

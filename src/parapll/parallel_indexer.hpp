@@ -5,27 +5,15 @@
 // runs Pruned Dijkstra against the shared ConcurrentLabelStore. Relaxed
 // label visibility can add redundant labels but never wrong ones (paper
 // Proposition 1); `pll::VerifySampled` is the test-suite witness.
+//
+// The build itself is build::Run with BuildMode::kParallel
+// (build/pipeline.hpp); this header holds the per-worker report it
+// returns in BuildOutcome::reports.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "graph/graph.hpp"
-#include "parapll/options.hpp"
-#include "pll/index.hpp"
-#include "pll/ordering.hpp"
-#include "pll/pruned_dijkstra.hpp"
+#include <cstddef>
 
 namespace parapll::parallel {
-
-struct ParallelBuildOptions {
-  std::size_t threads = 1;
-  AssignmentPolicy policy = AssignmentPolicy::kDynamic;
-  LockMode lock_mode = LockMode::kStriped;
-  pll::OrderingPolicy ordering = pll::OrderingPolicy::kDegree;
-  std::uint64_t seed = 0;
-  bool record_trace = false;  // per-root labels-added in completion order
-};
 
 struct ThreadReport {
   std::size_t roots_processed = 0;
@@ -48,35 +36,5 @@ struct ThreadReport {
     return wall > 0.0 ? busy_seconds / wall : 0.0;
   }
 };
-
-struct ParallelBuildResult {
-  pll::LabelStore store;               // rank space
-  std::vector<graph::VertexId> order;  // rank -> original id
-  double indexing_seconds = 0.0;
-  pll::PruneStats totals;
-  std::vector<ThreadReport> threads;
-  // (root rank, labels added) in global completion order; Fig. 6 input.
-  std::vector<std::pair<graph::VertexId, std::size_t>> trace;
-
-  // Convenience: wraps store + order into a queryable Index (copies).
-  [[nodiscard]] pll::Index MakeIndex() const {
-    return pll::Index(store, order);
-  }
-
-  // Mean per-thread Utilization(); 1.0 means perfectly balanced workers.
-  [[nodiscard]] double AvgUtilization() const {
-    if (threads.empty()) {
-      return 0.0;
-    }
-    double total = 0.0;
-    for (const ThreadReport& report : threads) {
-      total += report.Utilization();
-    }
-    return total / static_cast<double>(threads.size());
-  }
-};
-
-ParallelBuildResult BuildParallel(const graph::Graph& g,
-                                  const ParallelBuildOptions& options);
 
 }  // namespace parapll::parallel

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "pll/index.hpp"
 #include "pll/label_store.hpp"
-#include "pll/ordering.hpp"
 
 namespace parapll::pll {
 
@@ -29,10 +29,10 @@ class DynamicIndex {
  public:
   DynamicIndex() = default;
 
-  // Builds the initial index with serial weighted PLL.
-  static DynamicIndex Build(const graph::Graph& g,
-                            OrderingPolicy ordering = OrderingPolicy::kDegree,
-                            std::uint64_t seed = 0);
+  // Seeds the updatable index from `index`, a complete index built from
+  // `g` (e.g. build::Run(g, {}).artifact.index). Its labels and ordering
+  // are copied; later AddEdge calls never touch `index`.
+  DynamicIndex(const graph::Graph& g, const Index& index);
 
   // Exact distance between original vertex ids on the *current* graph.
   [[nodiscard]] graph::Distance Query(graph::VertexId s,

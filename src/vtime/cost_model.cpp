@@ -1,8 +1,5 @@
 #include "vtime/cost_model.hpp"
 
-// CalibrateSecondsPerUnit lives in build/compat.cpp: it runs BuildSerial,
-// which now sits on the unified pipeline above this library in link order.
-
 namespace parapll::vtime {
 
 double CostModel::Units(const pll::PruneStats& stats) const {

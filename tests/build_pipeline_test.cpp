@@ -14,9 +14,9 @@
 
 #include "build/build_plan.hpp"
 #include "build/root_scheduler.hpp"
-#include "core/builder.hpp"
 #include "graph/generators.hpp"
 #include "pll/verify.hpp"
+#include "vtime/cost_model.hpp"
 
 namespace parapll::build {
 namespace {
@@ -189,20 +189,66 @@ TEST(RootSchedulers, EachRootClaimedExactlyOnce) {
   }
 }
 
-// The public IndexBuilder facade routes through the same pipeline and
-// surfaces the build cursor in its report.
-TEST(Pipeline, IndexBuilderReportsCompletion) {
+// Run() surfaces the build cursor: a complete parallel build reports
+// every root done, in the outcome and in the manifest.
+TEST(Pipeline, ParallelOutcomeReportsCompletion) {
   const graph::Graph g =
       graph::BarabasiAlbert(70, 2, {graph::WeightModel::kUniform, 15}, 41);
-  BuildReport report;
-  const pll::Index index = IndexBuilder()
-                               .Mode(BuildMode::kParallel)
-                               .Threads(3)
-                               .Build(g, &report);
-  EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.roots_completed, g.NumVertices());
+  const BuildOutcome outcome =
+      build::Run(g, {.mode = BuildMode::kParallel, .threads = 3});
+  const pll::Index& index = outcome.artifact.index;
+  EXPECT_TRUE(outcome.complete);
+  EXPECT_EQ(outcome.roots_finished, g.NumVertices());
+  EXPECT_EQ(index.Manifest().roots_completed, g.NumVertices());
   EXPECT_TRUE(pll::VerifySampled(g, index, 200, 5).Ok());
   EXPECT_EQ(index.Manifest().mode, "parallel");
+}
+
+graph::Graph SmallGraph(std::uint64_t seed) {
+  return graph::BarabasiAlbert(100, 3, {graph::WeightModel::kUniform, 10},
+                               seed);
+}
+
+// total_units is the sum of per-root CostModel units in every mode, so a
+// serial calibration (wall_seconds / total_units) converts any mode's
+// makespan at the same per-root task overhead. Each mode is checked
+// against a sum it did not compute: the per-root trace where one is
+// recorded, and for a one-node one-worker cluster its own makespan, which
+// is that sum on a single virtual clock.
+TEST(Pipeline, TotalUnitsSumPerRootUnitsInEveryMode) {
+  const graph::Graph g = SmallGraph(96);
+  const vtime::CostModel cost;
+  const auto expect_close = [](double actual, double expected) {
+    EXPECT_NEAR(actual, expected, 1e-9 * expected);
+  };
+  for (const BuildMode mode :
+       {BuildMode::kSerial, BuildMode::kParallel, BuildMode::kSimulated}) {
+    SCOPED_TRACE(ToString(mode));
+    const BuildOutcome outcome = build::Run(
+        g, {.mode = mode, .threads = 3, .record_trace = true});
+    ASSERT_EQ(outcome.trace.size(), g.NumVertices());
+    double per_root_sum = 0.0;
+    for (const auto& [root, stats] : outcome.trace) {
+      per_root_sum += cost.Units(stats);
+    }
+    expect_close(outcome.total_units, per_root_sum);
+  }
+  const BuildOutcome cluster = build::Run(
+      g, {.mode = BuildMode::kCluster, .nodes = 1, .sync_count = 1});
+  expect_close(cluster.total_units, cluster.makespan_units);
+
+  // The closed form holds for every mode, cluster with real syncs too.
+  for (const BuildMode mode :
+       {BuildMode::kSerial, BuildMode::kParallel, BuildMode::kSimulated,
+        BuildMode::kCluster}) {
+    SCOPED_TRACE(ToString(mode));
+    const BuildOutcome outcome = build::Run(
+        g, {.mode = mode, .threads = 2, .nodes = 3, .sync_count = 4});
+    expect_close(outcome.total_units,
+                 cost.Units(outcome.totals) +
+                     static_cast<double>(g.NumVertices() - 1) *
+                         cost.task_overhead);
+  }
 }
 
 }  // namespace

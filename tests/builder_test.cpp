@@ -1,91 +1,75 @@
-#include "core/builder.hpp"
+// build::Run is the one build entry point: every BuildMode yields an exact
+// index and a filled-in BuildOutcome, the cost-unit figures relate as the
+// modes promise, and the plan's knobs reach the build.
+#include "build/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "build/build_plan.hpp"
 #include "graph/generators.hpp"
 #include "pll/verify.hpp"
 
-namespace parapll {
+namespace parapll::build {
 namespace {
 
-using graph::Graph;
-using graph::WeightModel;
-using graph::WeightOptions;
-
-Graph TestGraph(std::uint64_t seed) {
-  return graph::BarabasiAlbert(
-      100, 3, WeightOptions{WeightModel::kUniform, 10}, seed);
+graph::Graph SmallGraph(std::uint64_t seed) {
+  return graph::BarabasiAlbert(100, 3, {graph::WeightModel::kUniform, 10},
+                               seed);
 }
 
-TEST(IndexBuilder, EveryModeProducesExactIndex) {
-  const Graph g = TestGraph(91);
+TEST(BuildRun, EveryModeIsExactAndFillsTheOutcome) {
+  const graph::Graph g = SmallGraph(91);
   for (const BuildMode mode :
        {BuildMode::kSerial, BuildMode::kParallel, BuildMode::kSimulated,
         BuildMode::kCluster}) {
-    BuildReport report;
-    const pll::Index index = IndexBuilder()
-                                 .Mode(mode)
-                                 .Threads(3)
-                                 .Nodes(2)
-                                 .SyncCount(2)
-                                 .Build(g, &report);
+    SCOPED_TRACE(ToString(mode));
+    const BuildOutcome outcome = build::Run(
+        g, {.mode = mode, .threads = 3, .nodes = 2, .sync_count = 2});
+    const pll::Index& index = outcome.artifact.index;
     const auto verdict = pll::VerifyExhaustive(g, index);
-    EXPECT_TRUE(verdict.Ok()) << ToString(mode) << ": " << verdict.ToString();
-    EXPECT_EQ(report.mode, mode);
-    EXPECT_GT(report.avg_label_size, 0.0);
-    EXPECT_GT(report.total_label_entries, 0u);
-    EXPECT_GT(report.index_bytes, 0u);
-    EXPECT_GT(report.totals.labels_added, 0u);
+    EXPECT_TRUE(verdict.Ok()) << verdict.ToString();
+    EXPECT_EQ(index.Manifest().mode, ToString(mode));
+    EXPECT_GT(index.AvgLabelSize(), 0.0);
+    EXPECT_GT(index.TotalEntries(), 0u);
+    EXPECT_GT(index.MemoryBytes(), 0u);
+    EXPECT_GT(outcome.totals.labels_added, 0u);
+    EXPECT_GT(outcome.total_units, 0.0);
   }
 }
 
-TEST(IndexBuilder, ReportIsOptional) {
-  const Graph g = TestGraph(92);
-  const pll::Index index = IndexBuilder().Build(g);
-  EXPECT_EQ(index.NumVertices(), g.NumVertices());
+TEST(BuildRun, SimulatedMakespanIsBelowTotalUnits) {
+  const BuildOutcome outcome = build::Run(
+      SmallGraph(93), {.mode = BuildMode::kSimulated, .threads = 4});
+  EXPECT_GT(outcome.makespan_units, 0.0);
+  EXPECT_GT(outcome.total_units, outcome.makespan_units);
 }
 
-TEST(IndexBuilder, SimulatedReportsMakespanBelowTotal) {
-  const Graph g = TestGraph(93);
-  BuildReport report;
-  (void)IndexBuilder()
-      .Mode(BuildMode::kSimulated)
-      .Threads(4)
-      .Build(g, &report);
-  EXPECT_GT(report.makespan_units, 0.0);
-  EXPECT_GT(report.total_units, report.makespan_units);
+TEST(BuildRun, SerialMakespanEqualsTotalUnits) {
+  const BuildOutcome outcome = build::Run(SmallGraph(94), {});
+  EXPECT_GT(outcome.total_units, 0.0);
+  EXPECT_DOUBLE_EQ(outcome.makespan_units, outcome.total_units);
 }
 
-TEST(IndexBuilder, SerialMakespanEqualsTotalUnits) {
-  const Graph g = TestGraph(94);
-  BuildReport report;
-  (void)IndexBuilder().Mode(BuildMode::kSerial).Build(g, &report);
-  EXPECT_DOUBLE_EQ(report.makespan_units, report.total_units);
-}
-
-TEST(IndexBuilder, ModeNamesAreStable) {
+TEST(BuildRun, ModeNamesAreStable) {
   EXPECT_EQ(ToString(BuildMode::kSerial), "serial");
   EXPECT_EQ(ToString(BuildMode::kParallel), "parallel");
   EXPECT_EQ(ToString(BuildMode::kSimulated), "simulated");
   EXPECT_EQ(ToString(BuildMode::kCluster), "cluster");
 }
 
-TEST(IndexBuilder, OrderingAndPolicyKnobsAreHonored) {
-  const Graph g = TestGraph(95);
-  BuildReport degree_report;
-  (void)IndexBuilder()
-      .Mode(BuildMode::kSerial)
-      .Ordering(pll::OrderingPolicy::kDegree)
-      .Build(g, &degree_report);
-  BuildReport random_report;
-  (void)IndexBuilder()
-      .Mode(BuildMode::kSerial)
-      .Ordering(pll::OrderingPolicy::kRandom)
-      .Seed(123)
-      .Build(g, &random_report);
-  EXPECT_NE(degree_report.total_label_entries,
-            random_report.total_label_entries);
+TEST(BuildRun, OrderingKnobIsHonored) {
+  const graph::Graph g = SmallGraph(95);
+  const BuildOutcome by_degree =
+      build::Run(g, {.ordering = pll::OrderingPolicy::kDegree});
+  const BuildOutcome by_random =
+      build::Run(g, {.ordering = pll::OrderingPolicy::kRandom, .seed = 123});
+  EXPECT_EQ(by_degree.artifact.Manifest().ordering, "degree");
+  EXPECT_EQ(by_random.artifact.Manifest().ordering, "random");
+  EXPECT_NE(by_degree.artifact.index.TotalEntries(),
+            by_random.artifact.index.TotalEntries());
 }
 
 }  // namespace
-}  // namespace parapll
+}  // namespace parapll::build

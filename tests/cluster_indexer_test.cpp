@@ -1,17 +1,16 @@
+// Inter-node ParaPLL (paper §4.5, Algorithm 3): build::Run with
+// BuildMode::kCluster, plus the cluster layer's root partitioning.
 #include "cluster/cluster_indexer.hpp"
 
 #include <gtest/gtest.h>
 
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
-#include "pll/serial_pll.hpp"
 #include "pll/verify.hpp"
-#include "vtime/sim_indexer.hpp"
 
 namespace parapll {
 namespace {
 
-using cluster::BuildCluster;
-using cluster::ClusterBuildOptions;
 using cluster::SyncBoundaries;
 using graph::Graph;
 using graph::WeightModel;
@@ -19,6 +18,18 @@ using graph::WeightOptions;
 using parallel::AssignmentPolicy;
 
 WeightOptions Uniform() { return WeightOptions{WeightModel::kUniform, 10}; }
+
+// A cluster plan: q nodes, c syncs, the other knobs at their defaults
+// (one simulated worker per node, dynamic intra-node policy).
+build::BuildPlan ClusterPlan(std::size_t nodes, std::size_t syncs) {
+  return {.mode = build::BuildMode::kCluster,
+          .nodes = nodes,
+          .sync_count = syncs};
+}
+
+std::size_t Entries(const build::BuildOutcome& outcome) {
+  return outcome.artifact.index.TotalEntries();
+}
 
 TEST(SyncBoundariesTest, OneSyncIsOneEpoch) {
   const auto b = SyncBoundaries(100, 1);
@@ -58,13 +69,12 @@ TEST_P(ClusterExactness, MatchesDijkstra) {
       graph::RoadGrid(8, 8, 0.85, 3, Uniform(), 72),
   };
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    ClusterBuildOptions options;
-    options.nodes = config.nodes;
-    options.workers_per_node = config.workers;
-    options.sync_count = config.syncs;
-    options.intra_policy = config.policy;
-    const auto result = BuildCluster(graphs[i], options);
-    const auto verdict = pll::VerifyExhaustive(graphs[i], result.MakeIndex());
+    build::BuildPlan plan = ClusterPlan(config.nodes, config.syncs);
+    plan.threads = config.workers;
+    plan.policy = config.policy;
+    const auto result = build::Run(graphs[i], plan);
+    const auto verdict =
+        pll::VerifyExhaustive(graphs[i], result.artifact.index);
     EXPECT_TRUE(verdict.Ok()) << "graph " << i << " nodes " << config.nodes
                               << " syncs " << config.syncs << ": "
                               << verdict.ToString();
@@ -110,12 +120,10 @@ TEST(ClusterIndexer, AllOwnershipPoliciesStayExact) {
        {cluster::OwnershipPolicy::kRoundRobin,
         cluster::OwnershipPolicy::kBlock,
         cluster::OwnershipPolicy::kRandom}) {
-    ClusterBuildOptions options;
-    options.nodes = 4;
-    options.sync_count = 4;
-    options.ownership = ownership;
-    const auto result = BuildCluster(g, options);
-    const auto verdict = pll::VerifyExhaustive(g, result.MakeIndex());
+    build::BuildPlan plan = ClusterPlan(4, 4);
+    plan.ownership = ownership;
+    const auto result = build::Run(g, plan);
+    const auto verdict = pll::VerifyExhaustive(g, result.artifact.index);
     EXPECT_TRUE(verdict.Ok())
         << cluster::ToString(ownership) << ": " << verdict.ToString();
   }
@@ -123,13 +131,11 @@ TEST(ClusterIndexer, AllOwnershipPoliciesStayExact) {
 
 TEST(ClusterIndexer, DeterministicAcrossRuns) {
   const Graph g = graph::BarabasiAlbert(120, 3, Uniform(), 73);
-  ClusterBuildOptions options;
-  options.nodes = 4;
-  options.workers_per_node = 2;
-  options.sync_count = 3;
-  const auto a = BuildCluster(g, options);
-  const auto b = BuildCluster(g, options);
-  EXPECT_EQ(a.store, b.store);
+  build::BuildPlan plan = ClusterPlan(4, 3);
+  plan.threads = 2;
+  const auto a = build::Run(g, plan);
+  const auto b = build::Run(g, plan);
+  EXPECT_EQ(a.artifact.index.Store(), b.artifact.index.Store());
   EXPECT_DOUBLE_EQ(a.makespan_units, b.makespan_units);
   EXPECT_EQ(a.entries_exchanged, b.entries_exchanged);
 }
@@ -137,16 +143,14 @@ TEST(ClusterIndexer, DeterministicAcrossRuns) {
 TEST(ClusterIndexer, SingleNodeMatchesSimulated) {
   // q = 1 with one final sync degenerates to the intra-node simulation.
   const Graph g = graph::ErdosRenyi(90, 200, Uniform(), 74);
-  ClusterBuildOptions options;
-  options.nodes = 1;
-  options.workers_per_node = 3;
-  options.sync_count = 1;
-  const auto cluster_result = BuildCluster(g, options);
+  build::BuildPlan plan = ClusterPlan(1, 1);
+  plan.threads = 3;
+  const auto cluster_result = build::Run(g, plan);
 
-  vtime::SimBuildOptions sim_options;
-  sim_options.workers = 3;
-  const auto sim_result = BuildSimulated(g, sim_options);
-  EXPECT_EQ(cluster_result.store, sim_result.store);
+  const auto sim_result = build::Run(
+      g, {.mode = build::BuildMode::kSimulated, .threads = 3});
+  EXPECT_EQ(cluster_result.artifact.index.Store(),
+            sim_result.artifact.index.Store());
   EXPECT_DOUBLE_EQ(cluster_result.comm_units, 0.0);
 }
 
@@ -155,40 +159,26 @@ TEST(ClusterIndexer, LabelRedundancyGrowsWithNodes) {
   const Graph g = graph::BarabasiAlbert(300, 4, Uniform(), 75);
   std::size_t previous = 0;
   for (const std::size_t nodes : {1u, 3u, 6u}) {
-    ClusterBuildOptions options;
-    options.nodes = nodes;
-    options.sync_count = 1;
-    const auto result = BuildCluster(g, options);
+    const std::size_t entries = Entries(build::Run(g, ClusterPlan(nodes, 1)));
     if (nodes > 1) {
-      EXPECT_GT(result.store.TotalEntries(), previous);
+      EXPECT_GT(entries, previous);
     }
-    previous = result.store.TotalEntries();
+    previous = entries;
   }
 }
 
 TEST(ClusterIndexer, MoreSyncsShrinkLabels) {
   // Figure 7(b): synchronizing more often reduces redundant labels.
   const Graph g = graph::BarabasiAlbert(300, 4, Uniform(), 76);
-  ClusterBuildOptions few;
-  few.nodes = 4;
-  few.sync_count = 1;
-  ClusterBuildOptions many = few;
-  many.sync_count = 32;
-  const auto few_result = BuildCluster(g, few);
-  const auto many_result = BuildCluster(g, many);
-  EXPECT_LE(many_result.store.TotalEntries(),
-            few_result.store.TotalEntries());
+  const auto few_result = build::Run(g, ClusterPlan(4, 1));
+  const auto many_result = build::Run(g, ClusterPlan(4, 32));
+  EXPECT_LE(Entries(many_result), Entries(few_result));
 }
 
 TEST(ClusterIndexer, MoreSyncsCostMoreCommunication) {
   const Graph g = graph::BarabasiAlbert(200, 3, Uniform(), 77);
-  ClusterBuildOptions few;
-  few.nodes = 4;
-  few.sync_count = 1;
-  ClusterBuildOptions many = few;
-  many.sync_count = 16;
-  const auto few_result = BuildCluster(g, few);
-  const auto many_result = BuildCluster(g, many);
+  const auto few_result = build::Run(g, ClusterPlan(4, 1));
+  const auto many_result = build::Run(g, ClusterPlan(4, 16));
   EXPECT_GT(many_result.comm_units, few_result.comm_units);
   EXPECT_EQ(few_result.sync_rounds, 1u);
   EXPECT_EQ(many_result.sync_rounds, 16u);
@@ -196,10 +186,7 @@ TEST(ClusterIndexer, MoreSyncsCostMoreCommunication) {
 
 TEST(ClusterIndexer, BytesFlowThroughFabric) {
   const Graph g = graph::BarabasiAlbert(100, 3, Uniform(), 78);
-  ClusterBuildOptions options;
-  options.nodes = 4;
-  options.sync_count = 2;
-  const auto result = BuildCluster(g, options);
+  const auto result = build::Run(g, ClusterPlan(4, 2));
   EXPECT_GT(result.bytes_exchanged, 0u);
   EXPECT_GT(result.entries_exchanged, 0u);
 }
@@ -210,14 +197,8 @@ TEST(ClusterIndexer, MakespanShrinksWithNodes) {
   // paper's 100x larger graphs even c = 1 keeps the loss near 2-3x; at
   // n = 400 the c = 1 redundancy outweighs 6-way parallelism).
   const Graph g = graph::BarabasiAlbert(400, 4, Uniform(), 79);
-  ClusterBuildOptions one;
-  one.nodes = 1;
-  one.sync_count = 16;
-  const double single = BuildCluster(g, one).makespan_units;
-  ClusterBuildOptions six;
-  six.nodes = 6;
-  six.sync_count = 16;
-  const double clustered = BuildCluster(g, six).makespan_units;
+  const double single = build::Run(g, ClusterPlan(1, 16)).makespan_units;
+  const double clustered = build::Run(g, ClusterPlan(6, 16)).makespan_units;
   EXPECT_LT(clustered, single);
 }
 

@@ -6,7 +6,6 @@
 #include "cluster/wire.hpp"
 #include "graph/generators.hpp"
 #include "pll/format_v2.hpp"
-#include "pll/serial_pll.hpp"
 #include "serve/frame.hpp"
 
 namespace parapll::corpus {
@@ -14,8 +13,11 @@ namespace parapll::corpus {
 pll::Index MakeIndex() {
   const graph::Graph g =
       graph::ErdosRenyi(20, 50, {graph::WeightModel::kUniform, 10}, 42);
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
-  return pll::Index(std::move(result.store), std::move(result.order));
+  pll::Index index = build::Run(g, {}).artifact.index;
+  // No provenance: these seeds exercise the label and order regions, and
+  // MakeManifestedIndex covers the manifest.
+  index.SetManifest({});
+  return index;
 }
 
 pll::Index MakeManifestedIndex() {

@@ -19,13 +19,11 @@
 #include "serve/frame.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "parapll/parallel_indexer.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/label_store.hpp"
 #include "pll/mmap_store.hpp"
 #include "pll/pruned_dijkstra.hpp"
-#include "pll/serial_pll.hpp"
 
 namespace parapll {
 namespace {
@@ -740,9 +738,10 @@ TEST(CorruptGraphBinary, CorruptionsThrow) {
 TEST(ThreadAccounting, SetupTimeIsBookedSeparatelyFromIdle) {
   const graph::Graph g =
       graph::BarabasiAlbert(400, 3, {graph::WeightModel::kUniform, 10}, 8);
-  const auto result = parallel::BuildParallel(g, {.threads = 2});
-  ASSERT_EQ(result.threads.size(), 2u);
-  for (const parallel::ThreadReport& report : result.threads) {
+  const build::BuildOutcome result =
+      build::Run(g, {.mode = build::BuildMode::kParallel, .threads = 2});
+  ASSERT_EQ(result.reports.size(), 2u);
+  for (const parallel::ThreadReport& report : result.reports) {
     EXPECT_GE(report.setup_seconds, 0.0);
     EXPECT_GE(report.busy_seconds, 0.0);
     EXPECT_GE(report.idle_seconds, 0.0);

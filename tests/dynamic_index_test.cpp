@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/dijkstra.hpp"
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -17,9 +18,13 @@ using graph::WeightOptions;
 
 const WeightOptions kUniform{WeightModel::kUniform, 10};
 
+DynamicIndex Seeded(const Graph& g, const build::BuildPlan& plan = {}) {
+  return DynamicIndex(g, build::Run(g, plan).artifact.index);
+}
+
 TEST(DynamicIndex, FreshBuildAnswersExactly) {
   const Graph g = graph::BarabasiAlbert(80, 3, kUniform, 1);
-  const DynamicIndex index = DynamicIndex::Build(g);
+  const DynamicIndex index = Seeded(g);
   for (VertexId s = 0; s < g.NumVertices(); s += 7) {
     const auto truth = baseline::DijkstraAll(g, s);
     for (VertexId t = 0; t < g.NumVertices(); ++t) {
@@ -28,10 +33,28 @@ TEST(DynamicIndex, FreshBuildAnswersExactly) {
   }
 }
 
+TEST(DynamicIndex, SeedsFromAParallelBuild) {
+  // Redundant labels from a relaxed-visibility build are still upper
+  // bounds, so the seeded index stays exact before and after an insert.
+  const Graph g = graph::BarabasiAlbert(80, 3, kUniform, 2);
+  DynamicIndex index =
+      Seeded(g, {.mode = build::BuildMode::kParallel, .threads = 3});
+  index.AddEdge(0, 79, 1);
+  std::vector<Edge> edges = g.ToEdgeList();
+  edges.push_back(Edge{0, 79, 1});
+  const Graph grown = Graph::FromEdges(g.NumVertices(), edges);
+  for (VertexId s = 0; s < grown.NumVertices(); s += 9) {
+    const auto truth = baseline::DijkstraAll(grown, s);
+    for (VertexId t = 0; t < grown.NumVertices(); ++t) {
+      ASSERT_EQ(index.Query(s, t), truth[t]);
+    }
+  }
+}
+
 TEST(DynamicIndex, InsertShortcutUpdatesDistance) {
   // Path 0-1-2-3-4, unit weights; adding 0-4 weight 1 collapses d(0,4).
   const Graph g = graph::Path(5, WeightOptions{WeightModel::kUnit, 1}, 1);
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = Seeded(g);
   EXPECT_EQ(index.Query(0, 4), 4u);
   index.AddEdge(0, 4, 1);
   EXPECT_EQ(index.Query(0, 4), 1u);
@@ -42,7 +65,7 @@ TEST(DynamicIndex, InsertShortcutUpdatesDistance) {
 TEST(DynamicIndex, InsertConnectsComponents) {
   const std::vector<Edge> edges = {{0, 1, 2}, {2, 3, 3}};
   const Graph g = Graph::FromEdges(4, edges);
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = Seeded(g);
   EXPECT_EQ(index.Query(0, 3), graph::kInfiniteDistance);
   index.AddEdge(1, 2, 5);
   EXPECT_EQ(index.Query(0, 3), 10u);
@@ -53,7 +76,7 @@ TEST(DynamicIndex, InsertConnectsComponents) {
 TEST(DynamicIndex, ParallelEdgeKeepsLighter) {
   const std::vector<Edge> edges = {{0, 1, 9}};
   const Graph g = Graph::FromEdges(2, edges);
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = Seeded(g);
   index.AddEdge(0, 1, 4);
   EXPECT_EQ(index.Query(0, 1), 4u);
   index.AddEdge(0, 1, 7);  // heavier duplicate: no effect
@@ -62,7 +85,7 @@ TEST(DynamicIndex, ParallelEdgeKeepsLighter) {
 
 TEST(DynamicIndex, HeavierEdgeThanExistingPathIsNoop) {
   const Graph g = graph::Complete(10, WeightOptions{WeightModel::kUnit, 1}, 2);
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = Seeded(g);
   const std::size_t before = index.TotalEntries();
   index.AddEdge(0, 9, 100);  // useless edge
   EXPECT_EQ(index.Query(0, 9), 1u);
@@ -77,7 +100,7 @@ TEST_P(DynamicIndexProperty, StaysExactUnderRandomInsertions) {
   util::Rng rng(GetParam());
   const auto n = static_cast<VertexId>(30 + rng.Below(50));
   Graph g = graph::ErdosRenyi(n, n + rng.Below(2 * n), kUniform, GetParam());
-  DynamicIndex index = DynamicIndex::Build(g);
+  DynamicIndex index = Seeded(g);
 
   std::vector<Edge> edges = g.ToEdgeList();
   for (int round = 0; round < 12; ++round) {
@@ -112,7 +135,7 @@ TEST(DynamicIndex, ManyInsertionsMatchFullRebuild) {
   util::Rng rng(99);
   const VertexId n = 60;
   Graph g = graph::Cycle(n, kUniform, 99);
-  DynamicIndex incremental = DynamicIndex::Build(g);
+  DynamicIndex incremental = Seeded(g);
   std::vector<Edge> edges = g.ToEdgeList();
   for (int i = 0; i < 30; ++i) {
     const auto u = static_cast<VertexId>(rng.Below(n));
@@ -122,7 +145,7 @@ TEST(DynamicIndex, ManyInsertionsMatchFullRebuild) {
     edges.push_back(Edge{u, v, w});
   }
   g = Graph::FromEdges(n, edges);
-  const DynamicIndex rebuilt = DynamicIndex::Build(g);
+  const DynamicIndex rebuilt = Seeded(g);
   for (VertexId s = 0; s < n; ++s) {
     for (VertexId t = 0; t < n; ++t) {
       ASSERT_EQ(incremental.Query(s, t), rebuilt.Query(s, t));

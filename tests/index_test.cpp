@@ -4,9 +4,9 @@
 
 #include <sstream>
 
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "pll/format_v2.hpp"
-#include "pll/serial_pll.hpp"
 #include "pll/verify.hpp"
 
 namespace parapll::pll {
@@ -19,8 +19,7 @@ using graph::WeightOptions;
 const WeightOptions kUniform{WeightModel::kUniform, 10};
 
 Index BuildTestIndex(const Graph& g) {
-  SerialBuildResult result = BuildSerial(g, {});
-  return Index(std::move(result.store), std::move(result.order));
+  return build::Run(g, {}).artifact.index;
 }
 
 TEST(IndexTest, QueriesUseOriginalIds) {

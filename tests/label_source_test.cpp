@@ -21,7 +21,6 @@
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/mmap_store.hpp"
-#include "pll/serial_pll.hpp"
 #include "query/query_engine.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -41,8 +40,7 @@ std::string TempPath(const std::string& name) {
 }
 
 pll::Index BuildIndex(const Graph& g) {
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
-  return pll::Index(std::move(result.store), std::move(result.order));
+  return build::Run(g, {}).artifact.index;
 }
 
 std::vector<query::QueryPair> RandomPairs(graph::VertexId n,

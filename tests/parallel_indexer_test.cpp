@@ -1,12 +1,15 @@
+// Intra-node ParaPLL with real threads (paper §4.3–4.4): build::Run
+// with BuildMode::kParallel, reporting per-worker load balance as
+// parallel::ThreadReport.
 #include "parapll/parallel_indexer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
-#include "pll/serial_pll.hpp"
 #include "pll/verify.hpp"
 
 namespace parapll {
@@ -17,9 +20,18 @@ using graph::WeightModel;
 using graph::WeightOptions;
 using parallel::AssignmentPolicy;
 using parallel::LockMode;
-using parallel::ParallelBuildOptions;
 
 WeightOptions Uniform() { return WeightOptions{WeightModel::kUniform, 10}; }
+
+build::BuildOutcome RunParallel(
+    const Graph& g, std::size_t threads,
+    AssignmentPolicy policy = AssignmentPolicy::kDynamic,
+    LockMode lock = LockMode::kStriped) {
+  return build::Run(g, {.mode = build::BuildMode::kParallel,
+                        .threads = threads,
+                        .policy = policy,
+                        .lock_mode = lock});
+}
 
 struct Config {
   std::size_t threads;
@@ -38,13 +50,10 @@ TEST_P(ParallelIndexerExactness, MatchesDijkstraOnMixedGraphs) {
       graph::RoadGrid(9, 9, 0.8, 4, Uniform(), 33),
   };
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    ParallelBuildOptions options;
-    options.threads = config.threads;
-    options.policy = config.policy;
-    options.lock_mode = config.lock;
-    const auto result = BuildParallel(graphs[i], options);
-    const auto index = result.MakeIndex();
-    const auto verdict = pll::VerifyExhaustive(graphs[i], index);
+    const auto result =
+        RunParallel(graphs[i], config.threads, config.policy, config.lock);
+    const auto verdict =
+        pll::VerifyExhaustive(graphs[i], result.artifact.index);
     EXPECT_TRUE(verdict.Ok()) << "graph " << i << " threads "
                               << config.threads << ": " << verdict.ToString();
   }
@@ -67,24 +76,20 @@ TEST(ParallelIndexer, SingleThreadMatchesSerialIndexSize) {
   // equal the serial build's exactly (paper: "indexing time of ParaPLL
   // with a single thread almost equals that of PLL").
   const Graph g = graph::BarabasiAlbert(150, 3, Uniform(), 41);
-  ParallelBuildOptions options;
-  options.threads = 1;
-  options.policy = AssignmentPolicy::kDynamic;
-  const auto parallel_result = BuildParallel(g, options);
-  const auto serial_result = pll::BuildSerial(g, {});
-  EXPECT_EQ(parallel_result.store.TotalEntries(),
-            serial_result.store.TotalEntries());
-  EXPECT_EQ(parallel_result.store, serial_result.store);
+  const auto parallel_result = RunParallel(g, 1);
+  const auto serial_result = build::Run(g, {});
+  const pll::LabelStore& parallel_store =
+      parallel_result.artifact.index.Store();
+  const pll::LabelStore& serial_store = serial_result.artifact.index.Store();
+  EXPECT_EQ(parallel_store.TotalEntries(), serial_store.TotalEntries());
+  EXPECT_EQ(parallel_store, serial_store);
 }
 
 TEST(ParallelIndexer, ThreadReportsCoverAllRoots) {
   const Graph g = graph::ErdosRenyi(80, 160, Uniform(), 42);
-  ParallelBuildOptions options;
-  options.threads = 4;
-  options.policy = AssignmentPolicy::kDynamic;
-  const auto result = BuildParallel(g, options);
+  const auto result = RunParallel(g, 4);
   std::size_t roots = 0;
-  for (const auto& report : result.threads) {
+  for (const auto& report : result.reports) {
     roots += report.roots_processed;
   }
   EXPECT_EQ(roots, g.NumVertices());
@@ -92,29 +97,25 @@ TEST(ParallelIndexer, ThreadReportsCoverAllRoots) {
 
 TEST(ParallelIndexer, StaticPolicySplitsRootsRoundRobin) {
   const Graph g = graph::ErdosRenyi(81, 160, Uniform(), 43);
-  ParallelBuildOptions options;
-  options.threads = 3;
-  options.policy = AssignmentPolicy::kStatic;
-  const auto result = BuildParallel(g, options);
-  ASSERT_EQ(result.threads.size(), 3u);
-  for (const auto& report : result.threads) {
+  const auto result = RunParallel(g, 3, AssignmentPolicy::kStatic);
+  ASSERT_EQ(result.reports.size(), 3u);
+  for (const auto& report : result.reports) {
     EXPECT_EQ(report.roots_processed, 27u);
   }
 }
 
 TEST(ParallelIndexer, TraceHasOneEntryPerRoot) {
   const Graph g = graph::BarabasiAlbert(90, 2, Uniform(), 44);
-  ParallelBuildOptions options;
-  options.threads = 4;
-  options.record_trace = true;
-  const auto result = BuildParallel(g, options);
+  const auto result = build::Run(g, {.mode = build::BuildMode::kParallel,
+                                     .threads = 4,
+                                     .record_trace = true});
   ASSERT_EQ(result.trace.size(), g.NumVertices());
   std::vector<bool> seen(g.NumVertices(), false);
   std::size_t labels_total = 0;
-  for (const auto& [root, labels_added] : result.trace) {
+  for (const auto& [root, stats] : result.trace) {
     EXPECT_FALSE(seen[root]);
     seen[root] = true;
-    labels_total += labels_added;
+    labels_total += stats.labels_added;
   }
   EXPECT_EQ(labels_total, result.totals.labels_added);
 }
@@ -124,10 +125,8 @@ TEST(ParallelIndexer, MoreThreadsNeverLoseCorrectnessOnDisconnected) {
       {0, 1, 2}, {1, 2, 2}, {3, 4, 5}, {4, 5, 1}};
   const Graph g = Graph::FromEdges(7, edges);  // vertex 6 isolated
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    ParallelBuildOptions options;
-    options.threads = threads;
-    const auto result = BuildParallel(g, options);
-    const auto index = result.MakeIndex();
+    const auto result = RunParallel(g, threads);
+    const pll::Index& index = result.artifact.index;
     EXPECT_EQ(index.Query(0, 2), 4u);
     EXPECT_EQ(index.Query(3, 5), 6u);
     EXPECT_EQ(index.Query(0, 3), graph::kInfiniteDistance);
@@ -137,12 +136,9 @@ TEST(ParallelIndexer, MoreThreadsNeverLoseCorrectnessOnDisconnected) {
 
 TEST(ParallelIndexer, ThreadReportsSplitBusyFromIdle) {
   const Graph g = graph::BarabasiAlbert(150, 3, Uniform(), 46);
-  ParallelBuildOptions options;
-  options.threads = 4;
-  options.policy = AssignmentPolicy::kDynamic;
-  const auto result = BuildParallel(g, options);
-  ASSERT_EQ(result.threads.size(), 4u);
-  for (const auto& report : result.threads) {
+  const auto result = RunParallel(g, 4);
+  ASSERT_EQ(result.reports.size(), 4u);
+  for (const auto& report : result.reports) {
     EXPECT_GE(report.busy_seconds, 0.0);
     EXPECT_GE(report.idle_seconds, 0.0);
     EXPECT_GE(report.WallSeconds(), report.busy_seconds);
@@ -153,7 +149,7 @@ TEST(ParallelIndexer, ThreadReportsSplitBusyFromIdle) {
   EXPECT_LE(result.AvgUtilization(), 1.0);
   // Workers spend the bulk of the build inside Pruned Dijkstra.
   double busy_total = 0.0;
-  for (const auto& report : result.threads) {
+  for (const auto& report : result.reports) {
     busy_total += report.busy_seconds;
   }
   EXPECT_GT(busy_total, 0.0);
@@ -167,10 +163,7 @@ TEST(ParallelIndexer, InstrumentedCountersMatchPruneStatsTotals) {
   registry.Reset();
   obs::SetMetricsEnabled(true);
   const Graph g = graph::BarabasiAlbert(160, 3, Uniform(), 47);
-  ParallelBuildOptions options;
-  options.threads = 4;
-  options.policy = AssignmentPolicy::kDynamic;
-  const auto result = BuildParallel(g, options);
+  const auto result = RunParallel(g, 4);
   obs::SetMetricsEnabled(false);
 
   EXPECT_EQ(registry.GetCounter("pll.roots_expanded").Value(),
@@ -196,15 +189,15 @@ TEST(ParallelIndexer, InstrumentedCountersMatchPruneStatsTotals) {
             result.totals.labels_added);
   // The per-thread load-balance gauges were published.
   double busy_sum = 0.0;
-  for (std::size_t t = 0; t < result.threads.size(); ++t) {
+  for (std::size_t t = 0; t < result.reports.size(); ++t) {
     const std::string prefix = "indexer.thread." + std::to_string(t);
     busy_sum += registry.GetGauge(prefix + ".busy_seconds").Value();
     EXPECT_DOUBLE_EQ(
         registry.GetGauge(prefix + ".roots_processed").Value(),
-        static_cast<double>(result.threads[t].roots_processed));
+        static_cast<double>(result.reports[t].roots_processed));
   }
   double busy_expected = 0.0;
-  for (const auto& report : result.threads) {
+  for (const auto& report : result.reports) {
     busy_expected += report.busy_seconds;
   }
   EXPECT_DOUBLE_EQ(busy_sum, busy_expected);
@@ -213,13 +206,11 @@ TEST(ParallelIndexer, InstrumentedCountersMatchPruneStatsTotals) {
 TEST(ParallelIndexer, LabelCountAtLeastSerial) {
   // Relaxed visibility can only add labels, never remove them.
   const Graph g = graph::BarabasiAlbert(200, 3, Uniform(), 45);
-  const auto serial_result = pll::BuildSerial(g, {});
+  const std::size_t serial_entries =
+      build::Run(g, {}).artifact.index.TotalEntries();
   for (const std::size_t threads : {2u, 4u, 8u}) {
-    ParallelBuildOptions options;
-    options.threads = threads;
-    const auto result = BuildParallel(g, options);
-    EXPECT_GE(result.store.TotalEntries(),
-              serial_result.store.TotalEntries());
+    const auto result = RunParallel(g, threads);
+    EXPECT_GE(result.artifact.index.TotalEntries(), serial_entries);
   }
 }
 

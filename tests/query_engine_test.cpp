@@ -7,9 +7,8 @@
 #include <vector>
 
 #include "baseline/dijkstra.hpp"
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
-#include "parapll/parallel_indexer.hpp"
-#include "pll/serial_pll.hpp"
 #include "util/rng.hpp"
 
 namespace parapll::query {
@@ -22,8 +21,7 @@ using graph::WeightOptions;
 const WeightOptions kUniform{WeightModel::kUniform, 20};
 
 pll::Index BuildTestIndex(const Graph& g) {
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
-  return pll::Index(std::move(result.store), std::move(result.order));
+  return build::Run(g, {}).artifact.index;
 }
 
 std::vector<QueryPair> RandomPairs(graph::VertexId n, std::size_t count,
@@ -68,8 +66,9 @@ TEST(QueryEngineTest, SingleThreadMatchesMultiThread) {
 
 TEST(QueryEngineTest, WorksOnParallelBuiltIndex) {
   const Graph g = graph::WattsStrogatz(150, 4, 0.1, kUniform, 2);
-  const auto result = parallel::BuildParallel(g, {.threads = 2});
-  const pll::Index index = result.MakeIndex();
+  const pll::Index index =
+      build::Run(g, {.mode = build::BuildMode::kParallel, .threads = 2})
+          .artifact.index;
   const auto pairs = RandomPairs(g.NumVertices(), 300, 1);
 
   QueryEngine engine(index, {.threads = 2, .min_pairs_per_shard = 32});

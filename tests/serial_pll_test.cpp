@@ -1,8 +1,9 @@
-#include "pll/serial_pll.hpp"
-
+// Serial weighted PLL (paper §4.1): build::Run with BuildMode::kSerial,
+// the baseline every ParaPLL variant is measured against.
 #include <gtest/gtest.h>
 
 #include "baseline/floyd_warshall.hpp"
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "pll/index.hpp"
 #include "pll/verify.hpp"
@@ -20,10 +21,7 @@ WeightOptions Uniform(graph::Weight max_weight = 10) {
 
 pll::Index BuildIndex(const Graph& g, pll::OrderingPolicy ordering =
                                           pll::OrderingPolicy::kDegree) {
-  pll::SerialBuildOptions options;
-  options.ordering = ordering;
-  pll::SerialBuildResult result = pll::BuildSerial(g, options);
-  return pll::Index(std::move(result.store), std::move(result.order));
+  return build::Run(g, {.ordering = ordering}).artifact.index;
 }
 
 TEST(SerialPll, PathGraphDistances) {
@@ -97,38 +95,32 @@ TEST(SerialPll, AllOrderingPoliciesAreExact) {
 
 TEST(SerialPll, DegreeOrderingPrunesBetterThanRandom) {
   const Graph g = graph::BarabasiAlbert(300, 4, Uniform(), 21);
-  pll::SerialBuildOptions by_degree;
-  by_degree.ordering = pll::OrderingPolicy::kDegree;
-  pll::SerialBuildOptions by_random;
-  by_random.ordering = pll::OrderingPolicy::kRandom;
-  by_random.seed = 99;
-  const auto degree_result = pll::BuildSerial(g, by_degree);
-  const auto random_result = pll::BuildSerial(g, by_random);
+  const pll::Index by_degree = BuildIndex(g, pll::OrderingPolicy::kDegree);
+  const pll::Index by_random =
+      build::Run(g, {.ordering = pll::OrderingPolicy::kRandom, .seed = 99})
+          .artifact.index;
   // Degree ordering is the paper's pruning-friendly sequence; it should
   // produce a meaningfully smaller index than a random sequence.
-  EXPECT_LT(degree_result.store.TotalEntries(),
-            random_result.store.TotalEntries());
+  EXPECT_LT(by_degree.TotalEntries(), by_random.TotalEntries());
 }
 
 TEST(SerialPll, TraceRecordsOneStatsPerRoot) {
   const Graph g = graph::ErdosRenyi(40, 80, Uniform(), 5);
-  pll::SerialBuildOptions options;
-  options.record_trace = true;
-  const auto result = pll::BuildSerial(g, options);
+  const build::BuildOutcome result = build::Run(g, {.record_trace = true});
   ASSERT_EQ(result.trace.size(), g.NumVertices());
   std::size_t labels_total = 0;
-  for (const auto& stats : result.trace) {
+  for (const auto& [root, stats] : result.trace) {
     labels_total += stats.labels_added;
   }
-  EXPECT_EQ(labels_total, result.store.TotalEntries());
+  EXPECT_EQ(labels_total, result.artifact.index.TotalEntries());
   EXPECT_EQ(labels_total, result.totals.labels_added);
 }
 
 TEST(SerialPll, EveryVertexHasSelfLabel) {
   const Graph g = graph::BarabasiAlbert(50, 2, Uniform(), 3);
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
+  const pll::Index index = BuildIndex(g);
   for (graph::VertexId rank = 0; rank < g.NumVertices(); ++rank) {
-    const auto row = result.store.Row(rank);
+    const auto row = index.Store().Row(rank);
     bool has_self = false;
     for (const auto& entry : row) {
       if (entry.hub == rank) {
@@ -143,9 +135,9 @@ TEST(SerialPll, EveryVertexHasSelfLabel) {
 TEST(SerialPll, HubRanksNeverExceedVertexRank) {
   // Serial PLL in rank space: L(v) only contains hubs of rank <= rank(v).
   const Graph g = graph::ErdosRenyi(50, 120, Uniform(), 17);
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
+  const pll::Index index = BuildIndex(g);
   for (graph::VertexId rank = 0; rank < g.NumVertices(); ++rank) {
-    for (const auto& entry : result.store.Row(rank)) {
+    for (const auto& entry : index.Store().Row(rank)) {
       EXPECT_LE(entry.hub, rank);
     }
   }

@@ -24,7 +24,6 @@
 #include "obs/profiler.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/mmap_store.hpp"
-#include "pll/serial_pll.hpp"
 #include "pll/servable.hpp"
 #include "query/query_engine.hpp"
 #include "serve/frame.hpp"
@@ -49,8 +48,7 @@ using graph::WeightOptions;
 using query::QueryPair;
 
 pll::Index BuildTestIndex(const Graph& g) {
-  pll::SerialBuildResult result = pll::BuildSerial(g, {});
-  return pll::Index(std::move(result.store), std::move(result.order));
+  return build::Run(g, {}).artifact.index;
 }
 
 std::vector<QueryPair> RandomPairs(graph::VertexId n, std::size_t count,
@@ -505,7 +503,9 @@ TEST(QueryServerTest, LoadGenClosedLoopAnswersEverything) {
 // k / rate but completes near k * round_trip, so its latency grows with k
 // and the slowest requests lag by about `seconds - duration`. Timing from
 // the scheduled send keeps that backlog in the p99; timing from the
-// actual send would report about one round trip.
+// actual send would report about one round trip. The offered load is
+// sized so that even a fast host's round trips (~12 us) take over ten
+// times the 10 ms schedule.
 TEST(QueryServerTest, LoadGenOpenLoopLatencyIncludesScheduleLag) {
   const Graph g = graph::ErdosRenyi(80, 240, {WeightModel::kUniform, 9}, 4);
   QueryServer server(BuildTestIndex(g), {});
@@ -515,10 +515,10 @@ TEST(QueryServerTest, LoadGenOpenLoopLatencyIncludesScheduleLag) {
   load.connections = 1;
   load.pairs_per_request = 16;
   load.max_vertex = g.NumVertices();
-  load.open_loop_qps = 200'000.0;
-  load.duration_seconds = 0.01;  // 2000 requests due within 10 ms
+  load.open_loop_qps = 1'000'000.0;
+  load.duration_seconds = 0.01;  // 10 000 requests due within 10 ms
   const LoadGenReport report = RunLoadGen(load);
-  EXPECT_EQ(report.answered + report.shed, 2000u);
+  EXPECT_EQ(report.answered + report.shed, 10'000u);
   EXPECT_EQ(report.errors, 0u);
   // Overloaded: the run took well past its schedule.
   ASSERT_GT(report.seconds, 3 * load.duration_seconds);

@@ -1,9 +1,14 @@
-#include "vtime/sim_indexer.hpp"
-
+// Deterministic virtual-time simulation of intra-node ParaPLL:
+// build::Run with BuildMode::kSimulated. p workers on one core, each with
+// a virtual clock; label visibility across overlapping tasks follows
+// publication timestamps (vtime/timestamped_labels.hpp), so a parallel
+// schedule replays bit-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "build/pipeline.hpp"
 #include "graph/generators.hpp"
-#include "pll/serial_pll.hpp"
 #include "pll/verify.hpp"
 
 namespace parapll {
@@ -13,7 +18,18 @@ using graph::Graph;
 using graph::WeightModel;
 using graph::WeightOptions;
 using parallel::AssignmentPolicy;
-using vtime::SimBuildOptions;
+
+build::BuildOutcome Simulate(const Graph& g, std::size_t workers,
+                             AssignmentPolicy policy =
+                                 AssignmentPolicy::kDynamic) {
+  return build::Run(g, {.mode = build::BuildMode::kSimulated,
+                        .threads = workers,
+                        .policy = policy});
+}
+
+const pll::LabelStore& Labels(const build::BuildOutcome& outcome) {
+  return outcome.artifact.index.Store();
+}
 
 WeightOptions Uniform() { return WeightOptions{WeightModel::kUniform, 10}; }
 
@@ -32,11 +48,9 @@ TEST_P(SimIndexerExactness, MatchesDijkstra) {
       graph::ErdosRenyi(90, 200, Uniform(), 53),
   };
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    SimBuildOptions options;
-    options.workers = config.workers;
-    options.policy = config.policy;
-    const auto result = BuildSimulated(graphs[i], options);
-    const auto verdict = pll::VerifyExhaustive(graphs[i], result.MakeIndex());
+    const auto result = Simulate(graphs[i], config.workers, config.policy);
+    const auto verdict =
+        pll::VerifyExhaustive(graphs[i], result.artifact.index);
     EXPECT_TRUE(verdict.Ok()) << "graph " << i << ": " << verdict.ToString();
   }
 }
@@ -53,23 +67,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SimIndexer, DeterministicAcrossRuns) {
   const Graph g = graph::BarabasiAlbert(150, 3, Uniform(), 61);
-  SimBuildOptions options;
-  options.workers = 6;
-  options.policy = AssignmentPolicy::kDynamic;
-  const auto a = BuildSimulated(g, options);
-  const auto b = BuildSimulated(g, options);
-  EXPECT_EQ(a.store, b.store);
+  const auto a = Simulate(g, 6);
+  const auto b = Simulate(g, 6);
+  EXPECT_EQ(Labels(a), Labels(b));
   EXPECT_DOUBLE_EQ(a.makespan_units, b.makespan_units);
   EXPECT_EQ(a.worker_units, b.worker_units);
 }
 
 TEST(SimIndexer, OneWorkerReproducesSerialLabels) {
   const Graph g = graph::ErdosRenyi(100, 250, Uniform(), 62);
-  SimBuildOptions options;
-  options.workers = 1;
-  const auto sim = BuildSimulated(g, options);
-  const auto serial = pll::BuildSerial(g, {});
-  EXPECT_EQ(sim.store, serial.store);
+  const auto sim = Simulate(g, 1);
+  const auto serial = build::Run(g, {});
+  EXPECT_EQ(Labels(sim), Labels(serial));
   EXPECT_DOUBLE_EQ(sim.makespan_units, sim.total_units);
 }
 
@@ -77,10 +86,7 @@ TEST(SimIndexer, MakespanShrinksWithMoreWorkers) {
   const Graph g = graph::BarabasiAlbert(300, 4, Uniform(), 63);
   double previous = 0.0;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    SimBuildOptions options;
-    options.workers = workers;
-    options.policy = AssignmentPolicy::kDynamic;
-    const auto result = BuildSimulated(g, options);
+    const auto result = Simulate(g, workers);
     if (workers > 1) {
       EXPECT_LT(result.makespan_units, previous)
           << "no speedup from " << workers / 2 << " to " << workers;
@@ -91,14 +97,9 @@ TEST(SimIndexer, MakespanShrinksWithMoreWorkers) {
 
 TEST(SimIndexer, SpeedupIsAtMostWorkerCount) {
   const Graph g = graph::BarabasiAlbert(200, 3, Uniform(), 64);
-  SimBuildOptions serial_options;
-  serial_options.workers = 1;
-  const double serial_units = BuildSimulated(g, serial_options).makespan_units;
+  const double serial_units = Simulate(g, 1).makespan_units;
   for (const std::size_t workers : {2u, 4u, 8u}) {
-    SimBuildOptions options;
-    options.workers = workers;
-    options.policy = AssignmentPolicy::kDynamic;
-    const auto result = BuildSimulated(g, options);
+    const auto result = Simulate(g, workers);
     const double speedup = serial_units / result.makespan_units;
     EXPECT_GT(speedup, 1.0);
     // Relaxed visibility adds work, so speedup must stay below p with a
@@ -110,22 +111,15 @@ TEST(SimIndexer, SpeedupIsAtMostWorkerCount) {
 TEST(SimIndexer, LabelInflationGrowsWithWorkers) {
   // Tables 3–4: LN grows (mildly) with thread count.
   const Graph g = graph::BarabasiAlbert(300, 4, Uniform(), 65);
-  SimBuildOptions one;
-  one.workers = 1;
-  const std::size_t base = BuildSimulated(g, one).store.TotalEntries();
-  SimBuildOptions many;
-  many.workers = 12;
-  many.policy = AssignmentPolicy::kStatic;
-  const std::size_t inflated = BuildSimulated(g, many).store.TotalEntries();
+  const std::size_t base = Labels(Simulate(g, 1)).TotalEntries();
+  const std::size_t inflated =
+      Labels(Simulate(g, 12, AssignmentPolicy::kStatic)).TotalEntries();
   EXPECT_GE(inflated, base);
 }
 
 TEST(SimIndexer, DynamicBalancesWorkerClocks) {
   const Graph g = graph::BarabasiAlbert(300, 4, Uniform(), 66);
-  SimBuildOptions options;
-  options.workers = 4;
-  options.policy = AssignmentPolicy::kDynamic;
-  const auto result = BuildSimulated(g, options);
+  const auto result = Simulate(g, 4);
   const double max_clock = *std::max_element(result.worker_units.begin(),
                                              result.worker_units.end());
   const double min_clock = *std::min_element(result.worker_units.begin(),
@@ -137,13 +131,12 @@ TEST(SimIndexer, DynamicBalancesWorkerClocks) {
 
 TEST(SimIndexer, TraceCoversEveryRootOnce) {
   const Graph g = graph::ErdosRenyi(70, 150, Uniform(), 67);
-  SimBuildOptions options;
-  options.workers = 3;
-  options.record_trace = true;
-  const auto result = BuildSimulated(g, options);
+  const auto result = build::Run(g, {.mode = build::BuildMode::kSimulated,
+                                     .threads = 3,
+                                     .record_trace = true});
   ASSERT_EQ(result.trace.size(), g.NumVertices());
   std::vector<bool> seen(g.NumVertices(), false);
-  for (const auto& [root, labels_added] : result.trace) {
+  for (const auto& [root, stats] : result.trace) {
     EXPECT_FALSE(seen[root]);
     seen[root] = true;
   }

@@ -132,35 +132,35 @@ int CmdGenerate(util::ArgParser& args) {
 int CmdBuild(util::ArgParser& args) {
   const graph::Graph g = graph::ReadEdgeListTextFile(args.GetString("graph"));
   const std::string mode_name = args.GetString("mode");
-  IndexBuilder builder;
+  build::BuildPlan plan;
   if (mode_name == "serial") {
-    builder.Mode(BuildMode::kSerial);
+    plan.mode = build::BuildMode::kSerial;
   } else if (mode_name == "parallel") {
-    builder.Mode(BuildMode::kParallel);
+    plan.mode = build::BuildMode::kParallel;
   } else if (mode_name == "simulated") {
-    builder.Mode(BuildMode::kSimulated);
+    plan.mode = build::BuildMode::kSimulated;
   } else if (mode_name == "cluster") {
-    builder.Mode(BuildMode::kCluster);
+    plan.mode = build::BuildMode::kCluster;
   } else {
     std::fprintf(stderr, "unknown mode %s\n", mode_name.c_str());
     return 1;
   }
-  builder.Threads(static_cast<std::size_t>(args.GetInt("threads")))
-      .Nodes(static_cast<std::size_t>(args.GetInt("nodes")))
-      .SyncCount(static_cast<std::size_t>(args.GetInt("sync")))
-      .Policy(args.GetString("policy") == "static"
-                  ? parallel::AssignmentPolicy::kStatic
-                  : parallel::AssignmentPolicy::kDynamic)
-      .Seed(static_cast<std::uint64_t>(args.GetInt("seed")))
-      .CheckpointDir(args.GetString("checkpoint-dir"))
-      .CheckpointEvery(static_cast<graph::VertexId>(
-          std::max<std::int64_t>(args.GetInt("checkpoint-every"), 0)))
-      .ResumeFrom(args.GetString("resume"))
-      .HaltAfterRoots(static_cast<graph::VertexId>(
-          std::max<std::int64_t>(args.GetInt("halt-after"), 0)));
+  plan.threads = static_cast<std::size_t>(args.GetInt("threads"));
+  plan.nodes = static_cast<std::size_t>(args.GetInt("nodes"));
+  plan.sync_count = static_cast<std::size_t>(args.GetInt("sync"));
+  plan.policy = args.GetString("policy") == "static"
+                    ? parallel::AssignmentPolicy::kStatic
+                    : parallel::AssignmentPolicy::kDynamic;
+  plan.seed = static_cast<std::uint64_t>(args.GetInt("seed"));
+  plan.checkpoint_dir = args.GetString("checkpoint-dir");
+  plan.checkpoint_every = static_cast<graph::VertexId>(
+      std::max<std::int64_t>(args.GetInt("checkpoint-every"), 0));
+  plan.resume_dir = args.GetString("resume");
+  plan.halt_after_roots = static_cast<graph::VertexId>(
+      std::max<std::int64_t>(args.GetInt("halt-after"), 0));
 
-  BuildReport report;
-  const pll::Index index = builder.Build(g, &report);
+  const build::BuildOutcome outcome = build::Run(g, plan);
+  const pll::Index& index = outcome.artifact.index;
   PublishHealthInfo(index);
   // With metrics on, sample a batch of random queries so a single build
   // run also yields a query-latency histogram in the snapshot.
@@ -177,20 +177,18 @@ int CmdBuild(util::ArgParser& args) {
   }
   const std::string out = args.GetString("out");
   pll::WriteIndexV2File(index, out);
-  if (report.complete) {
+  if (outcome.complete) {
     std::printf("indexed n=%u in %s: LN=%.1f, %zu entries -> %s\n",
                 g.NumVertices(),
-                util::FormatDuration(report.indexing_seconds).c_str(),
-                report.avg_label_size, report.total_label_entries,
-                out.c_str());
+                util::FormatDuration(outcome.wall_seconds).c_str(),
+                index.AvgLabelSize(), index.TotalEntries(), out.c_str());
   } else {
     std::printf(
         "halted after %llu/%u roots in %s: %zu finalized entries -> %s "
         "(resume with --resume)\n",
-        static_cast<unsigned long long>(report.roots_completed),
-        g.NumVertices(),
-        util::FormatDuration(report.indexing_seconds).c_str(),
-        report.total_label_entries, out.c_str());
+        static_cast<unsigned long long>(index.Manifest().roots_completed),
+        g.NumVertices(), util::FormatDuration(outcome.wall_seconds).c_str(),
+        index.TotalEntries(), out.c_str());
   }
   return 0;
 }

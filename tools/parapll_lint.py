@@ -59,6 +59,16 @@ untrusted-decode-markers
     Unbalanced begin/end-untrusted-decode markers (nested begin,
     dangling end, begin never closed).
 
+cross-library-definition
+    A .cpp under src/<dir>/ opening a namespace other than its own
+    library's: parapll::<dir>, except src/parapll/ -> parapll::parallel
+    and src/core/ -> parapll itself. Namespaces nested inside the own one
+    and anonymous namespaces are fine, as is opening bare `parapll` to
+    nest the own namespace in it. A definition in another library's
+    namespace sits above the library that declares it in link order and
+    hides an inverted dependency. Headers may still forward-declare
+    (obs/trace.hpp names util::JsonWriter).
+
 Usage
 -----
     tools/parapll_lint.py [--root DIR] [--json] [files...]
@@ -104,6 +114,13 @@ RAW_SYNC_ALLOWLIST = {
 # Private header -> directory prefixes that may include it.
 PRIVATE_HEADERS = {
     "build/root_loop.hpp": ("src/build/",),
+}
+
+# src/<dir>/ -> the namespace under `parapll` its .cpp files define into,
+# where it is not <dir> itself ("" = parapll, the umbrella).
+LIBRARY_NAMESPACES = {
+    "parapll": "parallel",
+    "core": "",
 }
 
 # Files forming the latency-critical paths.
@@ -187,6 +204,10 @@ SIGNAL_BANNED_RE = re.compile(
     r"|condition_variable)"
     r"|util::Mutex|MutexLock|CondVar"
 )
+
+# A namespace opening (group 1 is its possibly qualified name, empty for
+# an anonymous namespace) or any other brace, so nesting can be tracked.
+NAMESPACE_BRACE_RE = re.compile(r"\bnamespace\s+([A-Za-z_][\w:]*)?\s*\{|[{}]")
 
 MEMORY_ORDER_RE = re.compile(r"\bstd::memory_order_\w+")
 # `new Foo` / `delete p` / `delete[] p` — but not deleted special member
@@ -644,6 +665,44 @@ def check_untrusted_decode(rel: str, lines: list[SourceLine]) -> list[Finding]:
     return out
 
 
+def check_cross_library(rel: str, lines: list[SourceLine]) -> list[Finding]:
+    parts = rel.split("/")
+    if len(parts) != 3 or parts[0] != "src" or not rel.endswith(".cpp"):
+        return []
+    own = LIBRARY_NAMESPACES.get(parts[1], parts[1])
+    allowed = ["parapll"] + ([own] if own else [])
+    code = "\n".join(line.code for line in lines)
+    # One frame per open brace: the namespace components it added.
+    frames: list[list[str]] = []
+    out = []
+    for m in NAMESPACE_BRACE_RE.finditer(code):
+        token = m.group(0)
+        if token == "}":
+            if frames:
+                frames.pop()
+            continue
+        added = [] if token == "{" else [p for p in (m.group(1) or "").split("::") if p]
+        path = [p for frame in frames for p in frame] + added
+        frames.append(added)
+        if not added:
+            continue
+        inside_own = own != "" and path[: len(allowed)] == allowed
+        enclosing_own = path == allowed[: len(path)]
+        if inside_own or enclosing_own:
+            continue
+        out.append(
+            Finding(
+                rel,
+                code.count("\n", 0, m.start()) + 1,
+                "cross-library-definition",
+                f"`namespace {'::'.join(path)}` opened in src/{parts[1]}/: "
+                f"a source file defines only {'::'.join(allowed)} symbols; "
+                "move the definition into the library that declares it",
+            )
+        )
+    return out
+
+
 RULES = (
     check_naked_new,
     check_memory_order,
@@ -652,6 +711,7 @@ RULES = (
     check_hot_path,
     check_signal_context,
     check_untrusted_decode,
+    check_cross_library,
 )
 
 
@@ -676,8 +736,13 @@ def discover(root: str) -> list[str]:
         if not os.path.isdir(base):
             continue
         for dirpath, dirnames, filenames in os.walk(base):
+            # Skip the fixtures and any CMake build tree, but not by name:
+            # src/build/ is a library.
             dirnames[:] = [
-                d for d in dirnames if d not in ("lint_fixtures", "build")
+                d
+                for d in dirnames
+                if d != "lint_fixtures"
+                and not os.path.exists(os.path.join(dirpath, d, "CMakeCache.txt"))
             ]
             for name in sorted(filenames):
                 if name.endswith(SOURCE_EXTENSIONS):
@@ -697,12 +762,20 @@ def self_test(fixtures_root: str) -> int:
         if not os.path.isdir(kind_root):
             print(f"self-test: missing fixture dir {kind_root}", file=sys.stderr)
             return 2
+        # A tree scan must reach every fixture, src/build/ included.
+        scanned = set(discover(kind_root))
         for dirpath, _, filenames in os.walk(kind_root):
             for name in sorted(filenames):
                 if not name.endswith(SOURCE_EXTENSIONS):
                     continue
                 rel = os.path.relpath(os.path.join(dirpath, name), kind_root)
                 rel = rel.replace(os.sep, "/")
+                if rel not in scanned:
+                    print(
+                        f"self-test FAIL {kind}/{rel}: skipped by the tree scan",
+                        file=sys.stderr,
+                    )
+                    failures += 1
                 found = {f.rule for f in lint_file(kind_root, rel)}
                 expect_path = os.path.join(kind_root, rel + ".expect")
                 expected: set[str] = set()
