@@ -3,8 +3,8 @@
 // Invariants (Violate() on breach):
 //   * heap-accepts => mapping-accepts. ReadIndexV2 applies a strict
 //     superset of ValidateV2Mapping's checks (the documented split: only
-//     the heap path verifies in-row hub sortedness), so any stream the
-//     heap loader takes must also validate as a mapping.
+//     the heap path verifies in-row hub sortedness and distances), so any
+//     stream the heap loader takes must also validate as a mapping.
 //   * anything the mapping validator accepts is safe to query: the
 //     QuerySentinel merge over mapped rows must terminate in-bounds even
 //     when hubs are unsorted (sentinels close every row).

@@ -77,9 +77,21 @@ void Checkpointer::OnRootFinished(graph::VertexId frontier,
   totals_ += stats;
   wall_seconds_ = wall_seconds;
   ++finished_since_snapshot_;
-  if (options_.every > 0 && finished_since_snapshot_ >= options_.every) {
-    SnapshotLocked();
+  if (options_.every > 0 && finished_since_snapshot_ >= options_.every &&
+      !failure_) {
+    try {
+      SnapshotLocked();
+    } catch (...) {
+      failure_ = std::current_exception();
+    }
     finished_since_snapshot_ = 0;
+  }
+}
+
+void Checkpointer::RethrowFailure() const {
+  util::MutexLock lock(mutex_);
+  if (failure_) {
+    std::rethrow_exception(failure_);
   }
 }
 

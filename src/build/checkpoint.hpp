@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -60,9 +61,16 @@ class Checkpointer {
 
   // Driver callback after each finished root: folds the root's stats into
   // the running totals, remembers the new frontier, and snapshots when
-  // `every` more roots have finished since the last write. Thread-safe.
+  // `every` more roots have finished since the last write. Thread-safe
+  // and non-throwing, since it runs on worker threads: a failed snapshot
+  // (I/O, or a label distance over pll::kMaxLabelDistance) stops the
+  // periodic snapshots and is kept for RethrowFailure.
   void OnRootFinished(graph::VertexId frontier, const pll::PruneStats& stats,
                       double wall_seconds);
+
+  // Rethrows the first failure of a periodic snapshot, if any. The build
+  // driver calls it on its own thread once the workers have joined.
+  void RethrowFailure() const;
 
   // Writes a snapshot of the latest recorded frontier now (final flush,
   // signal path). Thread-safe; serialized against periodic snapshots.
@@ -91,6 +99,7 @@ class Checkpointer {
   double seed_wall_seconds_ = 0.0;  // ctor-only, then read-only
   graph::VertexId finished_since_snapshot_ GUARDED_BY(mutex_) = 0;
   std::size_t snapshots_ GUARDED_BY(mutex_) = 0;
+  std::exception_ptr failure_ GUARDED_BY(mutex_);
 };
 
 // Snapshot every live Checkpointer. Wired into the CLI's signal-flush

@@ -76,6 +76,9 @@ ThreadedDrain DrainThreaded(const BuildPlan& plan,
   ThreadedDrain drain;
   drain.loop = DrainRoots(context.rank_graph, labels, *scheduler, options,
                           checkpointer ? &*checkpointer : nullptr);
+  if (checkpointer) {
+    checkpointer->RethrowFailure();
+  }
   drain.complete = context.start_rank + drain.loop.roots_finished == n;
   // Every claimed root ran to completion, so the smallest unclaimed rank
   // is a true frontier: all ranks below it have finished.

@@ -126,7 +126,7 @@ void ConcurrentLabelStore::Append(graph::VertexId v, graph::VertexId hub,
   PARAPLL_DCHECK(v < rows_.size());
   LockRow(v);
   const std::size_t before = rows_[v].capacity();
-  rows_[v].push_back(pll::LabelEntry{hub, dist});
+  rows_[v].push_back(pll::LabelEntry{hub, pll::ToLabelDistance(dist)});
   const std::size_t after = rows_[v].capacity();
   UnlockRow(v);
   if (after != before) {

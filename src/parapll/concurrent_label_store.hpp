@@ -50,7 +50,9 @@ class ConcurrentLabelStore {
     return static_cast<graph::VertexId>(rows_.size());
   }
 
-  // Thread-safe append of (hub, dist) to L(v).
+  // Thread-safe append of (hub, dist) to L(v), narrowed by
+  // pll::ToLabelDistance: an over-range distance never throws here (in a
+  // worker); TakeFinalized reports it on the calling thread.
   void Append(graph::VertexId v, graph::VertexId hub, graph::Distance dist);
 
   // Thread-safe iteration: fn(hub, dist) for every entry currently in
@@ -80,7 +82,8 @@ class ConcurrentLabelStore {
   }
 
   // Moves the rows into an immutable query-stage store. Must only be
-  // called after all workers have finished.
+  // called after all workers have finished. Throws std::overflow_error
+  // if a label distance exceeded pll::kMaxLabelDistance.
   pll::LabelStore TakeFinalized();
 
   // Copy of every row keeping only entries with hub < limit, taken while

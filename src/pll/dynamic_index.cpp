@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "pll/ordering.hpp"
 #include "util/check.hpp"
@@ -41,21 +43,52 @@ graph::Distance DynamicIndex::Query(graph::VertexId s,
   return QueryRanks(rank_of_[s], rank_of_[t]);
 }
 
+namespace {
+
+std::vector<LabelEntry>::iterator FindHub(std::vector<LabelEntry>& row,
+                                          graph::VertexId hub) {
+  return std::lower_bound(
+      row.begin(), row.end(), hub,
+      [](const LabelEntry& e, graph::VertexId h) { return e.hub < h; });
+}
+
+}  // namespace
+
 bool DynamicIndex::Upsert(graph::VertexId v, graph::VertexId hub,
                           graph::Distance dist) {
   auto& row = rows_[v];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), hub,
-      [](const LabelEntry& e, graph::VertexId h) { return e.hub < h; });
-  if (it != row.end() && it->hub == hub) {
-    if (dist >= it->dist) {
-      return false;
-    }
-    it->dist = dist;
-    return true;
+  const auto it = FindHub(row, hub);
+  const bool present = it != row.end() && it->hub == hub;
+  if (present && dist >= it->dist) {
+    return false;
   }
-  row.insert(it, LabelEntry{hub, dist});
+  if (dist > kMaxLabelDistance) {
+    throw std::overflow_error(
+        "edge insertion needs a label distance above the 32-bit label "
+        "limit (" + std::to_string(kMaxLabelDistance) + ")");
+  }
+  const auto narrow = static_cast<LabelDistance>(dist);
+  if (present) {
+    undo_.push_back(LabelUndo{v, hub, it->dist});
+    it->dist = narrow;
+  } else {
+    undo_.push_back(LabelUndo{v, hub, kOverRangeLabelDistance});
+    row.insert(it, LabelEntry{hub, narrow});
+  }
   return true;
+}
+
+void DynamicIndex::RollBackLabels() {
+  for (auto undo = undo_.rbegin(); undo != undo_.rend(); ++undo) {
+    auto& row = rows_[undo->v];
+    const auto it = FindHub(row, undo->hub);
+    if (undo->previous == kOverRangeLabelDistance) {
+      row.erase(it);
+    } else {
+      it->dist = undo->previous;
+    }
+  }
+  undo_.clear();
 }
 
 void DynamicIndex::Resume(graph::VertexId hub, graph::VertexId seed,
@@ -63,8 +96,6 @@ void DynamicIndex::Resume(graph::VertexId hub, graph::VertexId seed,
   ++stats_.resumptions;
   auto& dist = scratch_dist_;
   auto& root_dist = scratch_root_;
-  touched_dist_.clear();
-  touched_root_.clear();
 
   // Snapshot L(hub) for the pruning test, including (hub, 0) itself so an
   // existing equal-or-better entry (hub, d') in L(u) prunes immediately.
@@ -115,12 +146,18 @@ void DynamicIndex::Resume(graph::VertexId hub, graph::VertexId seed,
     }
   }
 
+  ResetScratch();
+}
+
+void DynamicIndex::ResetScratch() {
   for (const graph::VertexId v : touched_dist_) {
-    dist[v] = graph::kInfiniteDistance;
+    scratch_dist_[v] = graph::kInfiniteDistance;
   }
   for (const graph::VertexId h : touched_root_) {
-    root_dist[h] = graph::kInfiniteDistance;
+    scratch_root_[h] = graph::kInfiniteDistance;
   }
+  touched_dist_.clear();
+  touched_root_.clear();
 }
 
 void DynamicIndex::Propagate(graph::VertexId from, graph::VertexId into,
@@ -128,7 +165,7 @@ void DynamicIndex::Propagate(graph::VertexId from, graph::VertexId into,
   // Copy the hub list first: Resume may grow L(from) itself.
   const std::vector<LabelEntry> hubs = rows_[from];
   for (const LabelEntry& e : hubs) {
-    Resume(e.hub, into, e.dist + w);
+    Resume(e.hub, into, graph::Distance{e.dist} + w);
   }
 }
 
@@ -151,12 +188,26 @@ void DynamicIndex::AddEdge(graph::VertexId u, graph::VertexId v,
     }
     arcs.push_back(graph::Arc{target, weight});
   };
-  upsert_arc(adjacency_[a], b, w);
-  upsert_arc(adjacency_[b], a, w);
-  ++stats_.edges_inserted;
+  // Everything AddEdge may change, so an overflow leaves no trace.
+  std::vector<graph::Arc> arcs_a = adjacency_[a];
+  std::vector<graph::Arc> arcs_b = adjacency_[b];
+  const DynamicIndexStats stats = stats_;
+  undo_.clear();
+  try {
+    upsert_arc(adjacency_[a], b, w);
+    upsert_arc(adjacency_[b], a, w);
+    ++stats_.edges_inserted;
 
-  Propagate(a, b, w);
-  Propagate(b, a, w);
+    Propagate(a, b, w);
+    Propagate(b, a, w);
+  } catch (const std::overflow_error&) {
+    ResetScratch();
+    RollBackLabels();
+    adjacency_[a] = std::move(arcs_a);
+    adjacency_[b] = std::move(arcs_b);
+    stats_ = stats;
+    throw;
+  }
 }
 
 std::size_t DynamicIndex::TotalEntries() const {

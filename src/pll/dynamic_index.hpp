@@ -41,6 +41,8 @@ class DynamicIndex {
   // Inserts undirected edge {u, v} with weight w (original ids; both
   // vertices must already exist) and repairs the labels incrementally.
   // Inserting a parallel edge is allowed and keeps the lighter weight.
+  // Throws std::overflow_error if the repair needs a label distance above
+  // kMaxLabelDistance; the index is then left exactly as it was.
   void AddEdge(graph::VertexId u, graph::VertexId v, graph::Weight w);
 
   [[nodiscard]] graph::VertexId NumVertices() const {
@@ -54,13 +56,21 @@ class DynamicIndex {
   [[nodiscard]] graph::Distance QueryRanks(graph::VertexId a,
                                            graph::VertexId b) const;
 
-  // Inserts (hub, dist) into L(v) keeping the row hub-sorted; returns
-  // true if the entry was new or improved an existing one.
+  // Inserts (hub, dist) into L(v) keeping the row hub-sorted and journals
+  // the change in undo_; returns true if the entry was new or improved an
+  // existing one. Throws std::overflow_error instead of writing a
+  // distance above kMaxLabelDistance.
   bool Upsert(graph::VertexId v, graph::VertexId hub, graph::Distance dist);
 
   // Resumes hub's pruned Dijkstra from `seed` at distance `seed_dist`.
   void Resume(graph::VertexId hub, graph::VertexId seed,
               graph::Distance seed_dist);
+
+  // Clears the scratch entries the last Resume touched.
+  void ResetScratch();
+
+  // Reverts every label change journaled in undo_, newest first.
+  void RollBackLabels();
 
   // One direction of the update: propagate every hub of L(from) through
   // the new edge into `into` at +w.
@@ -71,6 +81,15 @@ class DynamicIndex {
   std::vector<graph::VertexId> order_;               // rank -> original
   std::vector<graph::VertexId> rank_of_;             // original -> rank
   DynamicIndexStats stats_;
+
+  // One label change of the AddEdge in progress: the entry's previous
+  // distance, or kOverRangeLabelDistance when the entry was inserted.
+  struct LabelUndo {
+    graph::VertexId v = 0;
+    graph::VertexId hub = 0;
+    LabelDistance previous = kOverRangeLabelDistance;
+  };
+  std::vector<LabelUndo> undo_;
 
   // Reusable scratch for Resume.
   std::vector<graph::Distance> scratch_dist_;

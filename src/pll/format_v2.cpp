@@ -1,6 +1,5 @@
 #include "pll/format_v2.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
@@ -38,6 +37,10 @@ constexpr std::uint64_t AlignUp(std::uint64_t pos, std::uint64_t align) {
 void ValidateGeometry(const V2Header& h) {
   if (h.magic != kIndexV2Magic) {
     Fail("bad magic");
+  }
+  if (h.version == kIndexFormatWideEntries) {
+    Fail("version 2 file has 16-byte label entries, which this release "
+         "no longer reads; rebuild the index");
   }
   if (h.version != kIndexFormatV2) {
     Fail("unsupported version");
@@ -145,28 +148,10 @@ void WriteIndexV2(const Index& index, std::ostream& out) {
   WritePad(out, h.offsets_pos + (n + 1) * sizeof(std::uint64_t),
            h.entries_pos);
   if (n > 0) {
-    // Rows are contiguous in one flat array, sentinels interleaved. The
-    // region goes out in chunks whose padding is zeroed after the copy,
-    // not as the raw array: a LabelEntry's 4 padding bytes are
-    // indeterminate in memory, and the file must neither depend on them
-    // nor leak them.
-    const LabelEntry* entries = store.RowBegin(0);
-    constexpr std::size_t kChunk = std::size_t{1} << 16;  // 1 MiB
-    constexpr std::size_t kPadPos =
-        offsetof(LabelEntry, hub) + sizeof(graph::VertexId);
-    constexpr std::size_t kPadLen = offsetof(LabelEntry, dist) - kPadPos;
-    std::vector<char> buffer(kChunk * sizeof(LabelEntry));
-    for (std::uint64_t at = 0; at < offset; at += kChunk) {
-      const auto len = static_cast<std::size_t>(
-          std::min<std::uint64_t>(kChunk, offset - at));
-      std::memcpy(buffer.data(), entries + at, len * sizeof(LabelEntry));
-      for (std::size_t i = 0; i < len; ++i) {
-        std::memset(buffer.data() + i * sizeof(LabelEntry) + kPadPos, 0,
-                    kPadLen);
-      }
-      out.write(buffer.data(),
-                static_cast<std::streamsize>(len * sizeof(LabelEntry)));
-    }
+    // Rows are contiguous in one flat array, sentinels interleaved, and a
+    // LabelEntry has no padding: the region goes out as it sits in memory.
+    out.write(reinterpret_cast<const char*>(store.RowBegin(0)),
+              static_cast<std::streamsize>(offset * sizeof(LabelEntry)));
   }
   if (!out) {
     Fail("write failed");

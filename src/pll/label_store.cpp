@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -30,7 +31,7 @@ std::vector<std::vector<LabelEntry>> MutableLabels::SnapshotRows(
 
 namespace {
 constexpr LabelEntry kRowSentinel{graph::kInvalidVertex,
-                                  graph::kInfiniteDistance};
+                                  kOverRangeLabelDistance};
 }  // namespace
 
 LabelStore LabelStore::FromRows(std::vector<std::vector<LabelEntry>> rows) {
@@ -49,6 +50,11 @@ LabelStore LabelStore::FromRows(std::vector<std::vector<LabelEntry>> rows) {
       if (row[i].hub == graph::kInvalidVertex) {
         throw std::runtime_error(
             "label row uses the reserved sentinel hub id");
+      }
+      if (row[i].dist == kOverRangeLabelDistance) {
+        throw std::overflow_error(
+            "label distance exceeds the 32-bit label limit (" +
+            std::to_string(kMaxLabelDistance) + ")");
       }
       if (kept > 0 && row[kept - 1].hub == row[i].hub) {
         continue;
@@ -109,6 +115,9 @@ LabelStore LabelStore::FromFlat(std::vector<std::size_t> offsets,
       if (entries[i].hub == graph::kInvalidVertex ||
           (i > begin && entries[i].hub <= entries[i - 1].hub)) {
         throw std::runtime_error("label row hubs are not strictly sorted");
+      }
+      if (entries[i].dist == kOverRangeLabelDistance) {
+        throw std::runtime_error("label row holds an over-range distance");
       }
     }
   }

@@ -5,18 +5,30 @@
 //  * LabelStore    — immutable, flat, rank-sorted rows used for queries.
 // Both live in *rank space* (see pll/ordering.hpp).
 //
+// Entry layout. Every label row, on the build side (MutableLabels,
+// parallel::ConcurrentLabelStore, DynamicIndex, vtime's timestamped rows)
+// and on the query side (LabelStore, MmapLabelStore, the v2 file), is an
+// array of the one 8-byte LabelEntry {u32 hub, u32 dist}: no padding,
+// eight entries per cache line. Label distances are therefore 32-bit:
+// at most kMaxLabelDistance. A build whose label distance would exceed
+// that throws std::overflow_error when its rows are finalized (FromRows)
+// instead of truncating; graph::Distance (Dijkstra, query results) stays
+// 64-bit, and a query sums two label distances exactly in 64 bits.
+//
 // Query layout. LabelStore keeps every row contiguous in one flat array
-// of 16-byte LabelEntry records and terminates each row with a sentinel
-// entry whose hub is kInvalidVertex (and whose distance is infinite).
-// Real hubs are ranks in [0, n) and therefore always compare smaller than
-// the sentinel, so the hot sorted-merge loop (MergeSentinelRows) needs no
-// per-iteration bounds checks: the two cursors meet at the sentinels and
-// the common-hub test terminates the loop. Row() spans exclude the
-// sentinel; only the raw RowBegin() pointers see it.
+// and terminates each row with a sentinel entry whose hub is
+// kInvalidVertex. Real hubs are ranks in [0, n) and therefore always
+// compare smaller than the sentinel, so the hot sorted-merge loop
+// (MergeSentinelRows) needs no per-iteration bounds checks: the two
+// cursors meet at the sentinels and the common-hub test terminates the
+// loop. Row() spans exclude the sentinel; only the raw RowBegin()
+// pointers see it.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -24,14 +36,37 @@
 
 namespace parapll::pll {
 
-struct alignas(16) LabelEntry {
-  graph::VertexId hub = 0;       // rank of the landmark vertex
-  graph::Distance dist = 0;      // exact-or-upper-bound σ from hub
+// A label distance σ(P(hub, v)) as a row stores it.
+using LabelDistance = std::uint32_t;
+
+// Reserved label distance: what an append stores in place of a distance
+// above kMaxLabelDistance (and the row sentinel's distance). FromRows
+// throws std::overflow_error on it, so no finished index holds one; a
+// build that produced one fails on its calling thread, never in a worker.
+inline constexpr LabelDistance kOverRangeLabelDistance =
+    std::numeric_limits<LabelDistance>::max();
+
+// The largest label distance an index represents exactly.
+inline constexpr LabelDistance kMaxLabelDistance = kOverRangeLabelDistance - 1;
+
+// Narrows a search distance for an append: exact up to kMaxLabelDistance,
+// kOverRangeLabelDistance beyond it (never truncated).
+[[nodiscard]] constexpr LabelDistance ToLabelDistance(graph::Distance d) {
+  return d > kMaxLabelDistance ? kOverRangeLabelDistance
+                               : static_cast<LabelDistance>(d);
+}
+
+struct alignas(8) LabelEntry {
+  graph::VertexId hub = 0;  // rank of the landmark vertex
+  LabelDistance dist = 0;   // exact-or-upper-bound σ from hub
 
   friend bool operator==(const LabelEntry&, const LabelEntry&) = default;
 };
-static_assert(sizeof(LabelEntry) == 16,
-              "query layout assumes 16-byte label entries");
+static_assert(sizeof(LabelEntry) == 8,
+              "query layout assumes 8-byte label entries");
+// No padding: the v2 writer streams rows straight from memory, so equal
+// stores give equal files.
+static_assert(std::has_unique_object_representations_v<LabelEntry>);
 
 // Hint the first cache line of a label row into cache ahead of the merge.
 inline void PrefetchRow(const LabelEntry* row) {
@@ -52,7 +87,8 @@ struct HubDistance {
 
 // QUERY(s, t, L) over two bounded, hub-sorted rows of any entry type with
 // `hub` and `dist` fields (LabelEntry, PathLabelEntry). Distance sums
-// saturate at kInfiniteDistance; on equal sums the lowest hub wins.
+// saturate at kInfiniteDistance (only PathLabelEntry's 64-bit distances
+// can get there); on equal sums the lowest hub wins.
 template <typename Entry>
 HubDistance MergeRows(std::span<const Entry> a, std::span<const Entry> b) {
   HubDistance best;
@@ -93,7 +129,8 @@ struct SentinelMerge {
 // entry has hub == kInvalidVertex (LabelStore guarantees this). One
 // branch on hub order per iteration, no length tracking. The loop only
 // stops when both cursors sit on their sentinels, so a_end and b_end
-// point at them: every real entry of both rows was consumed.
+// point at them: every real entry of both rows was consumed. Two 32-bit
+// label distances sum exactly in graph::Distance: no saturation needed.
 inline SentinelMerge MergeSentinelRows(const LabelEntry* a,
                                        const LabelEntry* b) {
   graph::Distance best = graph::kInfiniteDistance;
@@ -104,7 +141,7 @@ inline SentinelMerge MergeSentinelRows(const LabelEntry* a,
       if (ha == graph::kInvalidVertex) {
         return {best, a, b};  // both cursors reached their sentinel
       }
-      const graph::Distance sum = graph::SaturatingAdd(a->dist, b->dist);
+      const graph::Distance sum = graph::Distance{a->dist} + b->dist;
       if (sum < best) {
         best = sum;
       }
@@ -150,10 +187,11 @@ class MutableLabels {
     return static_cast<graph::VertexId>(rows_.size());
   }
 
-  // Appends (hub, dist) to L(v). Serial PLL appends hubs in increasing
-  // rank, so rows stay sorted without extra work.
+  // Appends (hub, dist) to L(v), narrowed by ToLabelDistance. Serial PLL
+  // appends hubs in increasing rank, so rows stay sorted without extra
+  // work.
   void Append(graph::VertexId v, graph::VertexId hub, graph::Distance dist) {
-    rows_[v].push_back(LabelEntry{hub, dist});
+    rows_[v].push_back(LabelEntry{hub, ToLabelDistance(dist)});
   }
 
   // Calls fn(hub, dist) for every entry of L(v).
@@ -189,14 +227,16 @@ class LabelStore final : public LabelSource {
 
   // Builds from per-vertex rows; each row is sorted by hub rank and
   // deduplicated (keeping the minimum distance per hub). Throws
-  // std::runtime_error if any entry uses the reserved sentinel hub.
+  // std::runtime_error if any entry uses the reserved sentinel hub, and
+  // std::overflow_error if any holds kOverRangeLabelDistance.
   static LabelStore FromRows(std::vector<std::vector<LabelEntry>> rows);
   static LabelStore FromMutable(const MutableLabels& labels);
 
   // Adopts an already-flattened query layout: `offsets` in entry units
   // with rows *including* their sentinels (the format-v2 convention).
-  // Validates shape, sentinel placement, and strict hub sortedness;
-  // throws std::runtime_error on violation.
+  // Validates shape, sentinel placement, strict hub sortedness and that
+  // no entry holds kOverRangeLabelDistance; throws std::runtime_error on
+  // violation.
   static LabelStore FromFlat(std::vector<std::size_t> offsets,
                              std::vector<LabelEntry> entries);
 

@@ -26,10 +26,12 @@ struct BuildManifest {
   // manifest is a correctness contract, not a hint. Version 1 is what
   // the retired streamed container wrote; version 2 marks the manifest
   // as embedded in the format-v2 container (pll/format_v2.hpp), the one
-  // container, so new manifests start at 2. The manifest payload layout
-  // itself is identical in both.
+  // container; version 3 matches that container's 8-byte label entries
+  // (kIndexFormatV2), so new manifests start at 3. The manifest payload
+  // layout itself is identical in all three; the container header's
+  // version is what rejects a 16-byte-entry file.
   static constexpr std::uint32_t kFormatVersion = 1;
-  static constexpr std::uint32_t kMaxFormatVersion = 2;
+  static constexpr std::uint32_t kMaxFormatVersion = 3;
 
   std::uint32_t format_version = kMaxFormatVersion;
   std::uint64_t graph_fingerprint = 0;  // graph::Fingerprint of the input

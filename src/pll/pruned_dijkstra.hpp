@@ -14,6 +14,9 @@
 // The `Labels` parameter must provide:
 //   void ForEach(VertexId v, F fn) const   // fn(hub, dist) per visible entry
 //   void Append(VertexId v, VertexId hub, Distance dist)
+// Append must not throw (it may run on a worker thread): the label
+// stores narrow with pll::ToLabelDistance and report an over-range
+// distance when their rows are finalized.
 // ForEach may surface entries concurrently appended by other roots; Append
 // must be safe against concurrent Appends to the same row (the serial
 // MutableLabels trivially satisfies both).
@@ -176,7 +179,8 @@ PruneStats PrunedDijkstra(const graph::Graph& rank_graph,
     labels.ForEach(u, [&](graph::VertexId hub, graph::Distance hd) {
       ++stats.probe_entries;
       if (hub < root && root_dist[hub] != graph::kInfiniteDistance) {
-        // Saturating: a wrapped sum would look like a short witness path
+        // Summed in 64 bits and saturating (PathIndex's rows carry 64-bit
+        // distances): a wrapped sum would look like a short witness path
         // and wrongly prune u (paper Proposition 1 only tolerates
         // *redundant* labels, never missing ones).
         const graph::Distance via = graph::SaturatingAdd(root_dist[hub], hd);

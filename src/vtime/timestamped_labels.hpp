@@ -19,7 +19,7 @@ class TimestampedLabels {
  public:
   struct Entry {
     graph::VertexId hub = 0;
-    graph::Distance dist = 0;
+    pll::LabelDistance dist = 0;
     double stamp = 0.0;
   };
 
@@ -29,9 +29,11 @@ class TimestampedLabels {
     return static_cast<graph::VertexId>(rows_.size());
   }
 
+  // Narrowed by pll::ToLabelDistance; Finalize reports an over-range
+  // distance on the calling thread (never inside a cluster rank thread).
   void Append(graph::VertexId v, graph::VertexId hub, graph::Distance dist,
               double stamp) {
-    rows_[v].push_back(Entry{hub, dist, stamp});
+    rows_[v].push_back(Entry{hub, pll::ToLabelDistance(dist), stamp});
   }
 
   // fn(hub, dist) for entries published at or before `now`.
@@ -56,7 +58,9 @@ class TimestampedLabels {
     return total;
   }
 
-  // Drops stamps and produces the sorted immutable query store.
+  // Drops stamps and produces the sorted immutable query store. Throws
+  // std::overflow_error if a label distance exceeded
+  // pll::kMaxLabelDistance.
   [[nodiscard]] pll::LabelStore Finalize() const;
 
  private:

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "build/build_plan.hpp"
 #include "build/root_scheduler.hpp"
 #include "graph/generators.hpp"
+#include "pll/ordering.hpp"
 #include "pll/verify.hpp"
 #include "vtime/cost_model.hpp"
 
@@ -249,6 +253,67 @@ TEST(Pipeline, TotalUnitsSumPerRootUnitsInEveryMode) {
                      static_cast<double>(g.NumVertices() - 1) *
                          cost.task_overhead);
   }
+}
+
+// --- the 32-bit label-distance limit ----------------------------------
+
+// The path 0 - 1 - 2 with two edges of weight 3,000,000,000: 2 and 0 are
+// 6e9 apart, above pll::kMaxLabelDistance. Whether a label must hold that
+// depends on the order: rank 0 never prunes (no hub precedes it), so an
+// endpoint at rank 0 labels the other endpoint with 6e9 in every mode.
+constexpr graph::Weight kHeavy = 3'000'000'000;
+
+graph::Graph HeavyPath() {
+  const std::vector<graph::Edge> edges = {{0, 1, kHeavy}, {1, 2, kHeavy}};
+  return graph::Graph::FromEdges(3, edges);
+}
+
+std::uint64_t EndpointFirstSeed(const graph::Graph& path) {
+  std::uint64_t seed = 0;
+  while (pll::ComputeOrder(path, pll::OrderingPolicy::kRandom, seed)[0] ==
+         1) {
+    ++seed;
+  }
+  return seed;
+}
+
+// An over-range label distance is never truncated, and never thrown
+// inside a worker or a cluster rank thread (that would std::terminate):
+// build::Run throws std::overflow_error on the caller's thread.
+TEST(LabelDistanceLimit, OverRangeDistanceThrowsFromRunInEveryMode) {
+  const graph::Graph path = HeavyPath();
+  BuildPlan plan;
+  plan.ordering = pll::OrderingPolicy::kRandom;
+  plan.seed = EndpointFirstSeed(path);
+  for (const BuildMode mode :
+       {BuildMode::kSerial, BuildMode::kParallel, BuildMode::kSimulated,
+        BuildMode::kCluster}) {
+    SCOPED_TRACE(ToString(mode));
+    plan.mode = mode;
+    plan.threads = mode == BuildMode::kSerial ? 1 : 2;
+    plan.nodes = mode == BuildMode::kCluster ? 2 : 1;
+    EXPECT_THROW((void)build::Run(path, plan), std::overflow_error);
+  }
+  // The degree order indexes the middle vertex first; every label then
+  // fits, and the 6e9 answer is the exact sum of two label distances.
+  const BuildOutcome fits = build::Run(path, {});
+  EXPECT_EQ(fits.artifact.index.Query(0, 2), 2 * graph::Distance{kHeavy});
+}
+
+// A periodic checkpoint that meets the over-range label runs on a worker
+// thread; its failure surfaces from build::Run too.
+TEST(LabelDistanceLimit, CheckpointedParallelBuildThrowsFromRun) {
+  const graph::Graph path = HeavyPath();
+  BuildPlan plan;
+  plan.mode = BuildMode::kParallel;
+  plan.threads = 2;
+  plan.ordering = pll::OrderingPolicy::kRandom;
+  plan.seed = EndpointFirstSeed(path);
+  plan.checkpoint_dir = ::testing::TempDir() + "parapll_overflow_ckpt." +
+                        std::to_string(::getpid());
+  plan.checkpoint_every = 1;
+  EXPECT_THROW((void)build::Run(path, plan), std::overflow_error);
+  std::filesystem::remove_all(plan.checkpoint_dir);
 }
 
 }  // namespace

@@ -49,6 +49,38 @@ std::string V2Bytes(const pll::Index& index) {
   return out.str();
 }
 
+std::string LegacyWideEntryBytes(const pll::Index& index) {
+  const std::string v2 = V2Bytes(index);
+  const auto n = Peek<std::uint64_t>(v2, kV2NumVertices);
+  const auto offsets_end = static_cast<std::size_t>(
+      Peek<std::uint64_t>(v2, kV2OffsetsPos) + (n + 1) * sizeof(std::uint64_t));
+  const auto entries_pos =
+      static_cast<std::size_t>(Peek<std::uint64_t>(v2, kV2EntriesPos));
+  constexpr std::size_t kWideEntry = 16;
+  std::string bytes = v2.substr(0, offsets_end);
+  bytes.resize((offsets_end + kWideEntry - 1) / kWideEntry * kWideEntry, '\0');
+  const std::size_t wide_pos = bytes.size();
+  for (std::size_t at = entries_pos; at < v2.size();
+       at += sizeof(pll::LabelEntry)) {
+    const auto hub = Peek<graph::VertexId>(v2, at);
+    const auto dist = Peek<pll::LabelDistance>(v2, at + sizeof(hub));
+    // The retired sentinel's distance was the 64-bit infinity.
+    const std::uint64_t wide = dist == pll::kOverRangeLabelDistance
+                                   ? graph::kInfiniteDistance
+                                   : std::uint64_t{dist};
+    std::string entry(kWideEntry, '\0');
+    Patch(entry, 0, hub);
+    Patch(entry, 8, wide);
+    bytes += entry;
+  }
+  Patch<std::uint32_t>(bytes, kV2Version, pll::kIndexFormatWideEntries);
+  Patch<std::uint32_t>(bytes, pll::kIndexV2HeaderBytes + kManifestVersion,
+                       pll::kIndexFormatWideEntries);
+  Patch<std::uint64_t>(bytes, kV2EntriesPos, wide_pos);
+  Patch<std::uint64_t>(bytes, kV2FileBytes, bytes.size());
+  return bytes;
+}
+
 std::string ManifestBytes(const pll::BuildManifest& manifest) {
   std::ostringstream out(std::ios::binary);
   manifest.Serialize(out);
@@ -144,14 +176,16 @@ std::vector<SeedCase> IndexV2Seeds() {
       {"valid-zero-labels", V2Bytes(MakeZeroLabelIndex())},
       {"empty", ""},
       {"bad-magic", Flip(v2, 0)},
-      {"bad-version", With<std::uint32_t>(v2, kV2Version, 3)},
+      {"bad-version",
+       With<std::uint32_t>(v2, kV2Version, pll::kIndexFormatV2 + 1)},
+      {"legacy-16-byte-entries", LegacyWideEntryBytes(index)},
       {"truncated-header", v2.substr(0, 79)},
       {"truncated-half", v2.substr(0, v2.size() / 2)},
       {"truncated-mid-entry", v2.substr(0, v2.size() - 5)},
       {"trailing-byte", v2 + '\0'},
       {"misaligned-entries",
        With<std::uint64_t>(v2, kV2EntriesPos,
-                           Peek<std::uint64_t>(v2, kV2EntriesPos) + 8)},
+                           Peek<std::uint64_t>(v2, kV2EntriesPos) + 4)},
       {"huge-declared-n",
        With<std::uint64_t>(v2, kV2NumVertices, std::uint64_t{1} << 56)},
       {"huge-declared-entries",
@@ -185,6 +219,10 @@ std::vector<SeedCase> IndexV2Seeds() {
       {"sentinel-hub-entry",
        With<graph::VertexId>(v2, V2EntryPos(v2, long_row),
                              graph::kInvalidVertex)},
+      {"over-range-distance",
+       With<pll::LabelDistance>(
+           v2, V2EntryPos(v2, long_row) + sizeof(graph::VertexId),
+           pll::kOverRangeLabelDistance)},
   };
   {
     // Regions shifted past EOF while staying self-consistent.

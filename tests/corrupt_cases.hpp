@@ -36,6 +36,10 @@ pll::Index MakeZeroLabelIndex();
 // --- serializers -------------------------------------------------------
 
 std::string V2Bytes(const pll::Index& index);  // the index container
+// `index` as the retired container wrote it: header (and manifest)
+// version 2, 16-byte label entries {u32 hub, 4 zero bytes, u64 dist},
+// the entries region 16-byte aligned. Loaders must ask for a rebuild.
+std::string LegacyWideEntryBytes(const pll::Index& index);
 std::string ManifestBytes(const pll::BuildManifest& manifest);
 
 // Canonical wire / frame / text samples used by the corruption suites.

@@ -92,32 +92,37 @@ TEST(Saturation, SaturatingAddClampsAtInfinity) {
 }
 
 // Regression: two huge label distances used to wrap to a tiny sum and
-// report a bogus short path; they must saturate to "not connected".
+// report a bogus short path. Label distances are 32-bit now; two of them
+// near kMaxLabelDistance must sum exactly in 64 bits, never wrap.
 TEST(Saturation, QueryRowsDoesNotWrap) {
-  const std::vector<LabelEntry> a = {{0, std::uint64_t{1} << 63}};
-  const std::vector<LabelEntry> b = {{0, std::uint64_t{1} << 63}};
-  EXPECT_EQ(pll::QueryRows(a, b), graph::kInfiniteDistance);
+  const std::vector<LabelEntry> a = {{0, pll::kMaxLabelDistance}};
+  const std::vector<LabelEntry> b = {{0, 5}};
+  EXPECT_EQ(pll::QueryRows(a, b),
+            graph::Distance{pll::kMaxLabelDistance} + 5);
 }
 
 TEST(Saturation, QuerySentinelDoesNotWrap) {
-  const std::vector<LabelEntry> a = {
-      {0, std::uint64_t{1} << 63},
-      {graph::kInvalidVertex, graph::kInfiniteDistance}};
-  const std::vector<LabelEntry> b = {
-      {0, (std::uint64_t{1} << 63) + 5},
-      {graph::kInvalidVertex, graph::kInfiniteDistance}};
-  EXPECT_EQ(pll::QuerySentinel(a.data(), b.data()), graph::kInfiniteDistance);
+  const LabelEntry sentinel{graph::kInvalidVertex,
+                            pll::kOverRangeLabelDistance};
+  const std::vector<LabelEntry> a = {{0, pll::kMaxLabelDistance}, sentinel};
+  const std::vector<LabelEntry> b = {{0, pll::kMaxLabelDistance - 7},
+                                     sentinel};
+  EXPECT_EQ(pll::QuerySentinel(a.data(), b.data()),
+            2 * graph::Distance{pll::kMaxLabelDistance} - 7);
 }
 
-// Regression: a wrapped sum in the pruning probe looked like a 0-length
-// witness path and pruned every vertex, silently dropping labels (the
+// Regression: a wrapped sum in the pruning probe looked like a short
+// witness path and pruned vertices, silently dropping labels (the
 // paper's Proposition 1 tolerates redundant labels, never missing ones).
+// Two label distances of 2^31 + 1 sum to 2 in 32 bits, under the 5 of
+// the edge; the probe must see 2^32 + 2 and prune nothing.
 TEST(Saturation, PrunedDijkstraDoesNotPruneOnWrappedSum) {
   const std::vector<graph::Edge> edges = {{0, 1, 5}};
   const graph::Graph g = graph::Graph::FromEdges(2, edges);
+  constexpr graph::Distance kHalf = (std::uint64_t{1} << 31) + 1;
   pll::MutableLabels labels(2);
-  labels.Append(0, 0, std::uint64_t{1} << 63);
-  labels.Append(1, 0, std::uint64_t{1} << 63);
+  labels.Append(0, 0, kHalf);
+  labels.Append(1, 0, kHalf);
   pll::PruneScratch scratch(2);
   const pll::PruneStats stats = pll::PrunedDijkstra(g, 1, labels, scratch);
   EXPECT_EQ(stats.pruned, 0u);
@@ -210,11 +215,17 @@ using corpus::kV2OffsetsPos;
 using corpus::kV2OrderPos;
 using corpus::kV2Version;
 
-// ValidateV2Mapping demands a 16-byte-aligned base (mmap gives pages);
+// ValidateV2Mapping demands a LabelEntry-aligned base (mmap gives pages);
 // vector<LabelEntry> reproduces that alignment for in-memory corpora.
-void ExpectMappingThrows(const std::string& bytes) {
-  std::vector<pll::LabelEntry> aligned((bytes.size() + 15) / 16 + 1);
+std::vector<pll::LabelEntry> AlignedCopy(const std::string& bytes) {
+  std::vector<pll::LabelEntry> aligned(bytes.size() / sizeof(pll::LabelEntry) +
+                                       1);
   std::memcpy(aligned.data(), bytes.data(), bytes.size());
+  return aligned;
+}
+
+void ExpectMappingThrows(const std::string& bytes) {
+  const std::vector<pll::LabelEntry> aligned = AlignedCopy(bytes);
   EXPECT_THROW((void)pll::ValidateV2Mapping(
                    reinterpret_cast<const char*>(aligned.data()),
                    bytes.size()),
@@ -232,8 +243,7 @@ TEST(CorruptIndexV2, RoundTripLoadsThroughBothPaths) {
   const pll::Index loaded = LoadIndexBytes(bytes);
   EXPECT_EQ(loaded.Store(), index.Store());
 
-  std::vector<pll::LabelEntry> aligned((bytes.size() + 15) / 16 + 1);
-  std::memcpy(aligned.data(), bytes.data(), bytes.size());
+  const std::vector<pll::LabelEntry> aligned = AlignedCopy(bytes);
   const pll::V2View view = pll::ValidateV2Mapping(
       reinterpret_cast<const char*>(aligned.data()), bytes.size());
   EXPECT_EQ(view.header.num_vertices, index.NumVertices());
@@ -249,16 +259,50 @@ TEST(CorruptIndexV2, BadMagicThrows) {
 
 TEST(CorruptIndexV2, UnsupportedVersionThrows) {
   std::string bytes = V2Bytes(MakeManifestedIndex());
-  Patch<std::uint32_t>(bytes, kV2Version, 3);
+  Patch<std::uint32_t>(bytes, kV2Version, pll::kIndexFormatV2 + 1);
   ExpectBothLoadersThrow(bytes);
 }
 
+// A file the previous release wrote (16-byte entries, header version 2)
+// is refused by both loaders with a message that says to rebuild — not
+// misread as twice as many 8-byte entries.
+TEST(CorruptIndexV2, LegacyWideEntryFileAsksForRebuild) {
+  const std::string bytes =
+      corpus::LegacyWideEntryBytes(MakeManifestedIndex());
+  const auto expect_rebuild = [](const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << "a 16-byte-entry file was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("rebuild"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rebuild([&] { (void)LoadIndexBytes(bytes); });
+  const std::vector<pll::LabelEntry> aligned = AlignedCopy(bytes);
+  expect_rebuild([&] {
+    (void)pll::ValidateV2Mapping(
+        reinterpret_cast<const char*>(aligned.data()), bytes.size());
+  });
+#if PARAPLL_HAVE_MMAP
+  const std::string path = ::testing::TempDir() + "parapll_legacy_v2." +
+                           std::to_string(::getpid()) + ".idx";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  expect_rebuild([&] { (void)pll::MmapLabelStore::Open(path); });
+  expect_rebuild([&] { (void)pll::Index::LoadFile(path); });
+  std::remove(path.c_str());
+#endif  // PARAPLL_HAVE_MMAP
+}
+
 TEST(CorruptIndexV2, MisalignedRegionThrows) {
-  // Knocking the entries region off its 16-byte alignment must fail the
-  // geometry check, never produce misaligned LabelEntry pointers.
+  // Knocking the entries region off its LabelEntry alignment must fail
+  // the geometry check, never produce misaligned LabelEntry pointers.
   std::string bytes = V2Bytes(MakeManifestedIndex());
   Patch<std::uint64_t>(bytes, kV2EntriesPos,
-                       Peek<std::uint64_t>(bytes, kV2EntriesPos) + 8);
+                       Peek<std::uint64_t>(bytes, kV2EntriesPos) + 4);
   ExpectBothLoadersThrow(bytes);
 
   std::string odd_order = V2Bytes(MakeManifestedIndex());
@@ -379,8 +423,7 @@ TEST(CorruptIndexV2, UnsortedHubsRejectedByHeapLoaderOnly) {
     Patch<graph::VertexId>(bytes, first + sizeof(pll::LabelEntry),
                            Peek<graph::VertexId>(bytes, first));
     EXPECT_THROW(LoadIndexBytes(bytes), std::runtime_error);
-    std::vector<pll::LabelEntry> aligned((bytes.size() + 15) / 16 + 1);
-    std::memcpy(aligned.data(), bytes.data(), bytes.size());
+    const std::vector<pll::LabelEntry> aligned = AlignedCopy(bytes);
     EXPECT_NO_THROW((void)pll::ValidateV2Mapping(
         reinterpret_cast<const char*>(aligned.data()), bytes.size()));
     return;
@@ -390,13 +433,13 @@ TEST(CorruptIndexV2, UnsortedHubsRejectedByHeapLoaderOnly) {
 
 // Every committed index_v2 seed gets its verdict from both loaders: the
 // valid-* shapes load everywhere, the heap-only cases (in-row hub order,
-// a sentinel hub inside a row) pass the mapping validator alone, and
-// every other corruption is rejected by both.
+// a sentinel hub or the reserved over-range distance inside a row) pass
+// the mapping validator alone, and every other corruption is rejected by
+// both.
 TEST(CorruptIndexV2, EverySeedGetsItsVerdictFromBothLoaders) {
   for (const corpus::SeedCase& seed : corpus::IndexV2Seeds()) {
     SCOPED_TRACE(seed.name);
-    std::vector<pll::LabelEntry> aligned(seed.bytes.size() / 16 + 1);
-    std::memcpy(aligned.data(), seed.bytes.data(), seed.bytes.size());
+    const std::vector<pll::LabelEntry> aligned = AlignedCopy(seed.bytes);
     const auto map = [&] {
       return pll::ValidateV2Mapping(
           reinterpret_cast<const char*>(aligned.data()), seed.bytes.size());
@@ -405,7 +448,8 @@ TEST(CorruptIndexV2, EverySeedGetsItsVerdictFromBothLoaders) {
       EXPECT_NO_THROW((void)LoadIndexBytes(seed.bytes));
       EXPECT_NO_THROW((void)map());
     } else if (seed.name == "unsorted-hubs" ||
-               seed.name == "sentinel-hub-entry") {
+               seed.name == "sentinel-hub-entry" ||
+               seed.name == "over-range-distance") {
       EXPECT_THROW((void)LoadIndexBytes(seed.bytes), std::runtime_error);
       EXPECT_NO_THROW((void)map());
     } else {
@@ -422,7 +466,7 @@ TEST(CorruptIndexV2, MmapOpenRejectsCorruptFile) {
   const std::string path = ::testing::TempDir() + "parapll_corrupt_v2." +
                            std::to_string(::getpid()) + ".idx";
   std::string bytes = V2Bytes(MakeManifestedIndex());
-  bytes[kV2Version] = 3;
+  Patch<std::uint32_t>(bytes, kV2Version, pll::kIndexFormatV2 + 1);
   {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baseline/dijkstra.hpp"
 #include "build/pipeline.hpp"
 #include "graph/generators.hpp"
+#include "pll/ordering.hpp"
 #include "util/rng.hpp"
 
 namespace parapll::pll {
@@ -151,6 +154,37 @@ TEST(DynamicIndex, ManyInsertionsMatchFullRebuild) {
       ASSERT_EQ(incremental.Query(s, t), rebuilt.Query(s, t));
     }
   }
+}
+
+// Edge 0 - 1 of weight 3e9 and an isolated vertex 2, with vertex 0
+// indexed first. Inserting 2 - 1 at 3e9 needs the label (0, 6e9) in L(2),
+// above kMaxLabelDistance: AddEdge throws std::overflow_error and rolls
+// back the label it had already written, the new arc and the stats.
+TEST(DynamicIndex, OverRangeInsertionThrowsAndLeavesIndexUnchanged) {
+  constexpr graph::Weight kHeavy = 3'000'000'000;
+  const std::vector<Edge> edges = {{0, 1, kHeavy}};
+  const Graph g = Graph::FromEdges(3, edges);
+  build::BuildPlan plan;
+  plan.ordering = OrderingPolicy::kRandom;
+  while (ComputeOrder(g, plan.ordering, plan.seed)[0] != 0) {
+    ++plan.seed;
+  }
+  DynamicIndex index = Seeded(g, plan);
+  const std::size_t entries = index.TotalEntries();
+  const DynamicIndexStats stats = index.Stats();
+
+  EXPECT_THROW(index.AddEdge(2, 1, kHeavy), std::overflow_error);
+  EXPECT_EQ(index.TotalEntries(), entries);
+  EXPECT_EQ(index.Stats().edges_inserted, stats.edges_inserted);
+  EXPECT_EQ(index.Stats().labels_touched, stats.labels_touched);
+  EXPECT_EQ(index.Query(0, 1), graph::Distance{kHeavy});
+  EXPECT_EQ(index.Query(1, 2), graph::kInfiniteDistance);
+  EXPECT_EQ(index.Query(0, 2), graph::kInfiniteDistance);
+
+  // The index keeps working: a light edge is inserted exactly.
+  index.AddEdge(2, 1, 7);
+  EXPECT_EQ(index.Query(1, 2), 7u);
+  EXPECT_EQ(index.Query(0, 2), graph::Distance{kHeavy} + 7);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Round-trip properties and degenerate-shape coverage of the format-v2
 // index container:
-//   * v2 -> load -> v2 is byte-idempotent;
+//   * v2 -> load -> v2 is byte-idempotent, and two serial builds of one
+//     graph write the same bytes;
 //   * the degenerate shapes — a zero-vertex index and an all-empty-rows
 //     index — survive both loaders (heap and mmap), because they are
 //     exactly the shapes ad-hoc loader arithmetic tends to get wrong
@@ -12,11 +13,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
 
+#include "build/pipeline.hpp"
 #include "corrupt_cases.hpp"
+#include "graph/generators.hpp"
 #include "graph/types.hpp"
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
@@ -39,28 +43,29 @@ TEST(FormatRoundTrip, V2ToV2IsByteIdempotent) {
   EXPECT_EQ(V2Bytes(LoadV2(v2)), v2);
 }
 
-// The 4 padding bytes of a LabelEntry are indeterminate in memory; the
-// writer must put zeros on disk, so equal indexes give equal files.
-TEST(FormatRoundTrip, EntryPaddingIsWrittenAsZero) {
-  pll::LabelEntry dirty;
-  std::memset(static_cast<void*>(&dirty), 0xab, sizeof(dirty));
-  std::vector<std::vector<pll::LabelEntry>> rows(2);
-  for (graph::VertexId v = 0; v < 2; ++v) {
-    dirty.hub = 0;
-    dirty.dist = v;
-    rows[v].push_back(dirty);
-  }
-  const pll::Index index(pll::LabelStore::FromRows(std::move(rows)), {0, 1});
-  const std::string v2 = V2Bytes(index);
-  const auto entries_pos =
-      static_cast<std::size_t>(corpus::Peek<std::uint64_t>(
-          v2, corpus::kV2EntriesPos));
-  for (std::size_t at = entries_pos; at < v2.size();
-       at += sizeof(pll::LabelEntry)) {
-    EXPECT_EQ(corpus::Peek<std::uint32_t>(v2, at + sizeof(graph::VertexId)),
-              0u)
-        << "entry at byte " << at;
-  }
+// A LabelEntry has no padding, so the writer's raw copy of the rows puts
+// only defined bytes on disk, and equal builds give equal files: two
+// serial builds of one graph differ only in the manifest's clock fields.
+static_assert(std::has_unique_object_representations_v<pll::LabelEntry>);
+
+TEST(FormatRoundTrip, SerialBuildsWriteIdenticalBytes) {
+  const graph::Graph g =
+      graph::ErdosRenyi(40, 120, {graph::WeightModel::kUniform, 100}, 3);
+  const auto build_bytes = [&] {
+    pll::Index index = build::Run(g, {}).artifact.index;
+    pll::BuildManifest manifest = index.Manifest();
+    manifest.wall_seconds = 0.0;
+    manifest.created_unix = 0;
+    index.SetManifest(std::move(manifest));
+    return V2Bytes(index);
+  };
+  const std::string first = build_bytes();
+  EXPECT_EQ(build_bytes(), first);
+  EXPECT_EQ(first.size() - corpus::Peek<std::uint64_t>(first,
+                                                       corpus::kV2EntriesPos),
+            (corpus::Peek<std::uint64_t>(first, corpus::kV2TotalEntries) +
+             corpus::Peek<std::uint64_t>(first, corpus::kV2NumVertices)) *
+                sizeof(pll::LabelEntry));
 }
 
 // --- degenerate shapes through every backend ---------------------------

@@ -21,6 +21,7 @@
 #include "pll/format_v2.hpp"
 #include "pll/index.hpp"
 #include "pll/mmap_store.hpp"
+#include "pll/ordering.hpp"
 #include "query/query_engine.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -192,7 +193,7 @@ TEST(LabelSourceTest, MmapOpenIsFarCheaperThanHeapDeserialize) {
     for (std::size_t i = 0; i < kEntriesPerRow; ++i) {
       rows[v].push_back(pll::LabelEntry{
           static_cast<graph::VertexId>(i * 7 + (v % 5)),
-          static_cast<graph::Distance>(v + i + 1)});
+          static_cast<pll::LabelDistance>(v + i + 1)});
     }
   }
   std::vector<graph::VertexId> order(kVertices);
@@ -226,6 +227,46 @@ TEST(LabelSourceTest, MmapOpenIsFarCheaperThanHeapDeserialize) {
 }
 
 #endif  // PARAPLL_HAVE_MMAP
+
+// The largest label distance, pll::kMaxLabelDistance, is represented
+// exactly: on the path 0 - 1 - 2 with two edges of half of it, indexed
+// from an endpoint, the longest label is the limit itself, and every
+// backend answers it after a save/load round trip.
+TEST(LabelSourceTest, LargestLabelDistanceIsExactOnEveryBackend) {
+  constexpr graph::Weight kHalf = pll::kMaxLabelDistance / 2;
+  static_assert(2 * graph::Distance{kHalf} == pll::kMaxLabelDistance);
+  const std::vector<graph::Edge> edges = {{0, 1, kHalf}, {1, 2, kHalf}};
+  const Graph path = Graph::FromEdges(3, edges);
+  build::BuildPlan plan;
+  plan.ordering = pll::OrderingPolicy::kRandom;
+  while (pll::ComputeOrder(path, plan.ordering, plan.seed)[0] == 1) {
+    ++plan.seed;
+  }
+  const pll::Index index = build::Run(path, plan).artifact.index;
+  pll::LabelDistance longest = 0;
+  for (graph::VertexId v = 0; v < index.NumVertices(); ++v) {
+    for (const pll::LabelEntry& e : index.Store().Row(v)) {
+      longest = std::max(longest, e.dist);
+    }
+  }
+  EXPECT_EQ(longest, pll::kMaxLabelDistance);
+  EXPECT_EQ(index.Query(0, 2), pll::kMaxLabelDistance);
+
+  const std::string path_name = TempPath("limit");
+  pll::WriteIndexV2File(index, path_name);
+  const std::vector<query::QueryPair> pairs = {{0, 2}, {2, 0}, {0, 1}, {1, 2}};
+  const std::vector<graph::Distance> want = {
+      pll::kMaxLabelDistance, pll::kMaxLabelDistance, kHalf, kHalf};
+  const pll::Index loaded = pll::Index::LoadFile(path_name);
+  EXPECT_EQ(loaded.Query(0, 2), pll::kMaxLabelDistance);
+  EXPECT_EQ(query::QueryEngine(loaded).QueryBatch(pairs), want);
+#if PARAPLL_HAVE_MMAP
+  const auto mapped = pll::MmapLabelStore::Open(path_name);
+  EXPECT_EQ(query::QueryEngine(mapped, index.Order()).QueryBatch(pairs),
+            want);
+#endif
+  std::remove(path_name.c_str());
+}
 
 }  // namespace
 }  // namespace parapll

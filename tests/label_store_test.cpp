@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace parapll::pll {
 namespace {
 
@@ -30,12 +33,40 @@ TEST(MutableLabelsTest, AppendAndIterate) {
   labels.Append(1, 0, 7);
   labels.Append(1, 1, 0);
   std::vector<LabelEntry> seen;
-  labels.ForEach(1, [&seen](graph::VertexId hub, graph::Distance dist) {
+  labels.ForEach(1, [&seen](graph::VertexId hub, LabelDistance dist) {
     seen.push_back(LabelEntry{hub, dist});
   });
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (LabelEntry{0, 7}));
   EXPECT_EQ(labels.TotalEntries(), 2u);
+}
+
+// Appends narrow to 32 bits without truncating: the largest exact
+// distance stays exact, anything above becomes the reserved value, which
+// finalization refuses with std::overflow_error.
+TEST(MutableLabelsTest, OverRangeDistanceFailsAtFinalization) {
+  EXPECT_EQ(ToLabelDistance(kMaxLabelDistance), kMaxLabelDistance);
+  EXPECT_EQ(ToLabelDistance(graph::Distance{kMaxLabelDistance} + 1),
+            kOverRangeLabelDistance);
+  EXPECT_EQ(ToLabelDistance(graph::Distance{1} << 32),
+            kOverRangeLabelDistance);  // would truncate to 0
+
+  MutableLabels exact(1);
+  exact.Append(0, 0, kMaxLabelDistance);
+  EXPECT_EQ(LabelStore::FromMutable(exact).Row(0)[0].dist,
+            kMaxLabelDistance);
+
+  MutableLabels over(2);
+  over.Append(0, 0, 0);
+  over.Append(1, 0, graph::Distance{6'000'000'000});
+  EXPECT_EQ(over.Row(1)[0].dist, kOverRangeLabelDistance);
+  EXPECT_THROW((void)LabelStore::FromMutable(over), std::overflow_error);
+
+  // Even when a smaller duplicate of the hub would win the dedup.
+  std::vector<std::vector<LabelEntry>> rows(1);
+  rows[0] = {{3, 1}, {3, kOverRangeLabelDistance}};
+  EXPECT_THROW((void)LabelStore::FromRows(std::move(rows)),
+               std::overflow_error);
 }
 
 TEST(LabelStoreTest, FromRowsSortsAndDedups) {
@@ -76,7 +107,7 @@ TEST(LabelStoreTest, AvgLabelSizeAndMemory) {
 TEST(LabelStoreTest, MemoryBytesReportsCapacityNotSize) {
   std::vector<std::size_t> offsets = {0, 2};
   std::vector<LabelEntry> entries = {
-      {1, 4}, {graph::kInvalidVertex, graph::kInfiniteDistance}};
+      {1, 4}, {graph::kInvalidVertex, kOverRangeLabelDistance}};
   offsets.reserve(64);
   entries.reserve(128);
   const std::size_t offsets_capacity = offsets.capacity();
@@ -97,7 +128,7 @@ TEST(LabelStoreTest, FromFlatMatchesFromRows) {
   const LabelStore want = LabelStore::FromRows(std::move(rows));
   // The physical layout FromFlat consumes: sentinel-terminated rows with
   // sentinel-inclusive offsets — exactly what format v2 stores on disk.
-  const LabelEntry sentinel{graph::kInvalidVertex, graph::kInfiniteDistance};
+  const LabelEntry sentinel{graph::kInvalidVertex, kOverRangeLabelDistance};
   const LabelStore got = LabelStore::FromFlat(
       {0, 3, 6}, {{0, 0}, {7, 4}, sentinel, {1, 0}, {7, 6}, sentinel});
   EXPECT_EQ(got, want);
@@ -105,7 +136,7 @@ TEST(LabelStoreTest, FromFlatMatchesFromRows) {
 }
 
 TEST(LabelStoreTest, FromFlatRejectsBrokenInvariants) {
-  const LabelEntry sentinel{graph::kInvalidVertex, graph::kInfiniteDistance};
+  const LabelEntry sentinel{graph::kInvalidVertex, kOverRangeLabelDistance};
   // Missing sentinel at a row end.
   EXPECT_THROW(
       LabelStore::FromFlat({0, 2}, {{0, 1}, {1, 2}}), std::runtime_error);
@@ -123,6 +154,10 @@ TEST(LabelStoreTest, FromFlatRejectsBrokenInvariants) {
   EXPECT_THROW(
       LabelStore::FromFlat({0, 3}, {{2, 1}, {2, 3}, sentinel}),
       std::runtime_error);
+  // The reserved over-range distance never appears in a finished index.
+  EXPECT_THROW(LabelStore::FromFlat(
+                   {0, 2}, {{2, kOverRangeLabelDistance}, sentinel}),
+               std::runtime_error);
   // A sentinel hub mid-row is corruption, not an early terminator.
   EXPECT_THROW(
       LabelStore::FromFlat({0, 3}, {{2, 1}, sentinel, sentinel}),

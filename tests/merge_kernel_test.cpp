@@ -20,7 +20,8 @@ using graph::kInvalidVertex;
 using graph::VertexId;
 
 // Every common hub checked against every other: the minimum saturated
-// sum, ties to the lowest hub, no hub when nothing finite is shared.
+// 64-bit sum, ties to the lowest hub, no hub when nothing finite is
+// shared.
 HubDistance NaiveBestHub(const std::vector<LabelEntry>& a,
                          const std::vector<LabelEntry>& b) {
   HubDistance best;
@@ -50,7 +51,7 @@ std::vector<PathLabelEntry> WithParents(const std::vector<LabelEntry>& row) {
 }
 
 std::vector<LabelEntry> WithSentinel(std::vector<LabelEntry> row) {
-  row.push_back(LabelEntry{kInvalidVertex, kInfiniteDistance});
+  row.push_back(LabelEntry{kInvalidVertex, kOverRangeLabelDistance});
   return row;
 }
 
@@ -101,20 +102,23 @@ TEST(MergeKernelTest, EqualDistanceTieGoesToLowestHub) {
   EXPECT_EQ(best.hub, 2u);
 }
 
-TEST(MergeKernelTest, SumsSaturateNearInfinity) {
-  const Distance big = kInfiniteDistance - 3;
-  // Hub 1 would wrap to 1; hub 4 is the only finite sum.
+// Label distances are 32-bit; their sums are not. Near kMaxLabelDistance
+// a 32-bit sum would wrap to a tiny, wrongly-best distance.
+TEST(MergeKernelTest, SumsNearTheLabelLimitDoNotWrap) {
+  const LabelDistance big = kMaxLabelDistance - 3;
+  // Hub 1 would wrap to 0 in 32 bits; hub 4's sum is the true minimum.
   const std::vector<LabelEntry> a = {{1, big}, {4, big - 10}};
   const std::vector<LabelEntry> b = {{1, 5}, {4, 2}};
   ExpectKernelsAgree(a, b);
-  EXPECT_EQ(QueryRows(a, b), big - 8);
+  EXPECT_EQ(QueryRows(a, b), Distance{big} - 8);
   EXPECT_EQ(MergeRows<LabelEntry>(a, b).hub, 4u);
 
-  // Every common sum saturates: no hub, infinite distance.
-  const std::vector<LabelEntry> c = {{1, big}, {4, big}};
+  // The largest sum two rows can produce is exact: 2 * kMaxLabelDistance.
+  const std::vector<LabelEntry> c = {{1, kMaxLabelDistance},
+                                     {4, kMaxLabelDistance}};
   ExpectKernelsAgree(c, c);
-  EXPECT_EQ(QueryRows(c, c), kInfiniteDistance);
-  EXPECT_EQ(MergeRows<LabelEntry>(c, c).hub, kInvalidVertex);
+  EXPECT_EQ(QueryRows(c, c), 2 * Distance{kMaxLabelDistance});
+  EXPECT_EQ(MergeRows<LabelEntry>(c, c).hub, 1u);
 }
 
 // Random hub-sorted row over [0, universe) with distances drawn from
@@ -134,11 +138,14 @@ std::vector<LabelEntry> RandomRow(util::Rng& rng, VertexId universe,
 
 TEST(MergeKernelTest, RandomRowsMatchNaiveReference) {
   util::Rng rng(14);
-  const auto tiny = [](util::Rng& r) { return Distance{r.Below(4)}; };
-  const auto wide = [](util::Rng& r) { return Distance{r.Below(1u << 20)}; };
-  const auto huge = [](util::Rng& r) {
-    return r.Chance(0.5) ? kInfiniteDistance - r.Below(64)
-                         : Distance{r.Below(64)};
+  const auto draw = [](util::Rng& r, std::uint64_t bound) {
+    return static_cast<LabelDistance>(r.Below(bound));
+  };
+  const auto tiny = [&](util::Rng& r) { return draw(r, 4); };
+  const auto wide = [&](util::Rng& r) { return draw(r, 1u << 20); };
+  // Near the 32-bit label limit, where a narrow sum would wrap.
+  const auto huge = [&](util::Rng& r) {
+    return r.Chance(0.5) ? kMaxLabelDistance - draw(r, 64) : draw(r, 64);
   };
   for (int trial = 0; trial < 3000; ++trial) {
     const auto universe = static_cast<VertexId>(1 + rng.Below(80));

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "build/artifact.hpp"
 #include "build/pipeline.hpp"
+#include "corrupt_cases.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -679,6 +681,59 @@ TEST(QueryServerTest, WatcherSkipsIdenticalAndSurvivesCorruptRepublish) {
   const auto pairs = RandomPairs(g.NumVertices(), 8, 9);
   EXPECT_EQ(client.Distance(pairs).status, ResponseStatus::kOk);
   server.Stop();
+}
+
+// A republish in the retired 16-byte-entry layout (header version 2) is
+// one reload error, not a swap: the daemon keeps answering from its
+// current snapshot.
+TEST(QueryServerTest, WatcherRejectsLegacyWideEntryRepublish) {
+  const std::string path =
+      ::testing::TempDir() + "parapll_serve_legacy." +
+      std::to_string(::getpid()) + ".idx";
+  const Graph g =
+      graph::ErdosRenyi(60, 150, {WeightModel::kUniform, 9}, 57);
+  const build::BuildOutcome built = build::Run(g, {});
+  built.artifact.Save(path);
+
+  ServeOptions options;
+  options.watch_path = path;
+  options.watch_poll_ms = 20;
+  QueryServer server(built.artifact.index, options);
+  server.Start();
+  ServeClient client;
+  client.Connect(server.Port());
+  const auto pairs = RandomPairs(g.NumVertices(), 16, 13);
+  const std::vector<graph::Distance> want =
+      query::QueryEngine(built.artifact.index).QueryBatch(pairs);
+
+  // A different graph's index, so a wrongly accepted reload would swap.
+  const Graph other =
+      graph::ErdosRenyi(60, 150, {WeightModel::kUniform, 9}, 58);
+  const std::string legacy =
+      corpus::LegacyWideEntryBytes(build::Run(other, {}).artifact.index);
+  {
+    // tmp + rename, like every publish: the watcher sees one new file.
+    const std::string tmp = path + ".tmp";
+    std::ofstream out(tmp, std::ios::binary);
+    out.write(legacy.data(), static_cast<std::streamsize>(legacy.size()));
+    out.close();
+    ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.Stats().reload_errors == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // Several more polls of the unchanged file add no error.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(server.Stats().reload_errors, 1u);
+  EXPECT_EQ(server.Stats().hot_swaps, 0u);
+  const auto response = client.Distance(pairs);
+  EXPECT_EQ(response.status, ResponseStatus::kOk);
+  EXPECT_EQ(response.distances, want);
+  server.Stop();
+  std::remove(path.c_str());
 }
 
 TEST(QueryServerTest, StopIsIdempotentAndRestartable) {

@@ -193,7 +193,7 @@ done
 MMAP_STATS_PORT="$(sed -n 's#.*http://127.0.0.1:\([0-9]*\)/metrics.*#\1#p' \
   "$WORK/mmap_daemon.log")"
 
-grep -q 'index load: path=.*g2\.index format=v2 bytes=[0-9][0-9]* mode=mmap' \
+grep -q 'index load: path=.*g2\.index format=v3 bytes=[0-9][0-9]* mode=mmap' \
   "$WORK/mmap_daemon.log" || {
   echo "cold-start index-load record missing from the mmap daemon log" >&2
   exit 1; }
